@@ -54,6 +54,11 @@ def to_distance(corr: CorrelationMatrix) -> DistanceMatrix:
     return DistanceMatrix(corr.assets, d)
 
 
+# Size of one float64 block of the triangle scan; caps its memory at
+# O(n^2) (one row) instead of O(n^3).
+_TRIANGLE_BLOCK_BYTES = 1 << 22
+
+
 @dataclass(frozen=True)
 class AxiomViolation:
     """One failed metric-axiom instance.
@@ -103,9 +108,15 @@ def check_metric_axioms(
                 )
 
     if n >= 3:
-        # excess[i,j,k] = d[i,j] - (d[i,k] + d[k,j])
-        excess = d[:, :, None] - (d[:, None, :] + d.T[None, :, :])
-        for i, j, k in np.argwhere(excess > tol):
+        # excess[i,j,k] = d[i,j] - (d[i,k] + d[k,j]), over blocks of rows i
+        # in order, so the hits come out in the order of one full scan
+        rows = max(1, _TRIANGLE_BLOCK_BYTES // (8 * n * n))
+        hits = []
+        for lo in range(0, n, rows):
+            block = d[lo : lo + rows]
+            excess = block[:, :, None] - (block[:, None, :] + d.T[None, :, :])
+            hits.append(np.argwhere(excess > tol) + (lo, 0, 0))
+        for i, j, k in np.concatenate(hits):
             if i < j and k != i and k != j:
                 violations.append(
                     AxiomViolation(

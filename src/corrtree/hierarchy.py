@@ -10,12 +10,11 @@ Two independent routes to the same taxonomy:
   distance across them.
 
 For the shortest-edge-first tree the two coincide exactly; tests hold
-them to each other at 1e-12.
+them to each other at 1e-12. Both kernels take O(n^2) time.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -93,29 +92,30 @@ class Dendrogram:
 
 
 def subdominant_ultrametric(tree: SpanningTree) -> DistanceMatrix:
-    """Max edge weight along the unique tree path between each pair."""
+    """Max edge weight along the unique tree path between each pair.
+
+    Edges are replayed in ascending weight (stable, so a tree from
+    :func:`build_mst` keeps its construction order) through a union-find;
+    each edge joins two components, and its weight is the path maximum
+    for every pair across them.
+    """
     labels = tree.assets
     n = len(labels)
     index = {a: i for i, a in enumerate(labels)}
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for e in tree.edges:
-        i, j = index[e.a], index[e.b]
-        adjacency[i].append((j, e.weight))
-        adjacency[j].append((i, e.weight))
-
+    root = np.arange(n)
+    members = [np.array([i]) for i in range(n)]
     dhat = np.zeros((n, n))
-    for root in range(n):
-        seen = [False] * n
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, w in adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    dhat[root, v] = max(dhat[root, u], w)
-                    queue.append(v)
-    dhat = np.maximum(dhat, dhat.T)
+    for e in sorted(tree.edges, key=lambda e: e.weight):
+        ra, rb = root[index[e.a]], root[index[e.b]]
+        if len(members[ra]) < len(members[rb]):
+            ra, rb = rb, ra
+        big, small = members[ra], members[rb]
+        # + 0.0 turns a -0.0 weight into 0.0, the value a path maximum
+        # started from zero takes
+        dhat[big[:, None], small] = e.weight + 0.0
+        dhat[small[:, None], big] = e.weight + 0.0
+        root[small] = ra
+        members[ra] = np.concatenate((big, small))
     return DistanceMatrix(labels, dhat)
 
 
@@ -124,7 +124,8 @@ def single_linkage(dist: DistanceMatrix) -> Dendrogram:
 
     Ties on the current minimum are resolved by first occurrence in
     row-major order over the working matrix, which keeps the procedure
-    deterministic.
+    deterministic. Each row's minimum and the column where it first
+    occurs are cached, so a merge rescans one row instead of the matrix.
     """
     n = dist.n_assets
     if n < 2:
@@ -134,13 +135,15 @@ def single_linkage(dist: DistanceMatrix) -> Dendrogram:
 
     work = dist.d.copy()
     np.fill_diagonal(work, np.inf)
+    row_arg = np.argmin(work, axis=1)
+    row_min = work[np.arange(n), row_arg]
     cluster_id = list(range(n))  # slot -> current cluster id, inf-row when retired
     merges: list[Merge] = []
     for k in range(n - 1):
-        flat = int(np.argmin(work))
-        p, q = divmod(flat, n)
-        if p > q:
-            p, q = q, p
+        # first row holding the global minimum, then its first such column:
+        # the first occurrence in row-major order
+        p = int(np.argmin(row_min))
+        q = int(row_arg[p])
         height = float(work[p, q])
         left, right = sorted((cluster_id[p], cluster_id[q]))
         merges.append(Merge(left, right, height))
@@ -151,6 +154,17 @@ def single_linkage(dist: DistanceMatrix) -> Dendrogram:
         work[q, :] = np.inf
         work[:, q] = np.inf
         cluster_id[p] = n + k
+        # A row whose new entry at p beats its minimum, or ties it at an
+        # earlier column, moves to p. That includes every row whose minimum
+        # sat at q: it finds the same value at p < q. Other rows only lost
+        # column q, which did not hold their minimum.
+        col = work[p]  # equals column p: the matrix stays symmetric
+        take = (col < row_min) | ((col == row_min) & (row_arg > p))
+        row_min[take] = col[take]
+        row_arg[take] = p
+        row_arg[p] = np.argmin(work[p])
+        row_min[p] = work[p, row_arg[p]]
+        row_min[q] = np.inf
     return Dendrogram(dist.assets, tuple(merges))
 
 

@@ -1,10 +1,11 @@
 """Minimal spanning trees over asset distance matrices.
 
-``build_mst`` is greedy shortest-edge-first (Kruskal with a union-find):
-candidate pairs are visited in ascending distance, ties broken by the
-lexicographically ordered endpoint labels, and an edge is accepted
-unless its endpoints are already connected. The acceptance sequence is
-preserved in the edge order.
+``build_mst`` is Prim's algorithm over the dense matrix, O(n^2) time and
+O(n) scratch memory. Edges are compared by the strict total order
+(distance, smaller label, larger label), under which the minimal
+spanning tree is unique; the accepted edges are then sorted by that key,
+which is exactly the order in which greedy shortest-edge-first
+construction (Kruskal) would accept them.
 
 ``mst_oracle`` is the brute-force cross-check: it enumerates every
 labelled spanning tree through its Prufer sequence (n^(n-2) of them) and
@@ -120,8 +121,9 @@ def build_mst(dist: DistanceMatrix) -> SpanningTree:
     """Greedy shortest-edge-first spanning tree construction.
 
     Candidate edges are ordered by (distance, smaller label, larger
-    label); an edge is skipped when its endpoints are already connected.
-    Output is deterministic for identical input bytes.
+    label); the edges come out in the order a shortest-edge-first scan
+    that skips edges closing a cycle would accept them. Output is
+    deterministic for identical input bytes.
     """
     n = dist.n_assets
     if n < 2:
@@ -129,24 +131,48 @@ def build_mst(dist: DistanceMatrix) -> SpanningTree:
     _check_offdiag_finite(dist)
 
     labels = dist.assets
+    d = dist.d
     lexrank = np.empty(n, dtype=np.int64)
     lexrank[sorted(range(n), key=labels.__getitem__)] = np.arange(n)
 
-    iu, ju = np.triu_indices(n, k=1)
-    weights = dist.d[iu, ju]
-    ra = np.minimum(lexrank[iu], lexrank[ju])
-    rb = np.maximum(lexrank[iu], lexrank[ju])
-    order = np.lexsort((rb, ra, weights))
+    def pair_key(u: np.ndarray | int, v: np.ndarray) -> np.ndarray:
+        # (smaller lex-rank, larger lex-rank) folded into one integer
+        ru, rv = lexrank[u], lexrank[v]
+        return np.minimum(ru, rv) * n + np.maximum(ru, rv)
 
-    uf = _UnionFind(n)
+    # Vertices outside the tree, kept compact by swap-removal, with the
+    # weight and tree endpoint of each one's best edge into the tree.
+    outside = np.arange(1, n)
+    best_w = d[0, 1:].copy()
+    best_from = np.zeros(n - 1, dtype=np.intp)
+    heads = np.empty(n - 1, dtype=np.intp)
+    tails = np.empty(n - 1, dtype=np.intp)
+    for last in range(n - 2, -1, -1):  # outside[: last + 1] are still outside
+        w = best_w[: last + 1]
+        k = int(np.argmin(w))
+        ties = np.flatnonzero(w == w[k])
+        if ties.size > 1:
+            k = int(ties[np.argmin(pair_key(best_from[ties], outside[ties]))])
+        u = int(outside[k])
+        heads[last], tails[last] = best_from[k], u
+        outside[k], best_w[k], best_from[k] = outside[last], best_w[last], best_from[last]
+        out, w, src = outside[:last], best_w[:last], best_from[:last]
+        row = d[u, out]
+        better = row < w
+        equal = np.flatnonzero(row == w)
+        if equal.size:
+            v = out[equal]
+            better[equal[pair_key(u, v) < pair_key(src[equal], v)]] = True
+        np.copyto(w, row, where=better)
+        src[better] = u
+
+    i, j = np.minimum(heads, tails), np.maximum(heads, tails)
+    weights = d[i, j]
+    order = np.lexsort((pair_key(i, j), weights))
     edges: list[TreeEdge] = []
     for k in order:
-        i, j = int(iu[k]), int(ju[k])
-        if uf.union(i, j):
-            a, b = sorted((labels[i], labels[j]))
-            edges.append(TreeEdge(a, b, float(weights[k])))
-            if len(edges) == n - 1:
-                break
+        a, b = sorted((labels[i[k]], labels[j[k]]))
+        edges.append(TreeEdge(a, b, float(weights[k])))
     return SpanningTree(labels, tuple(edges))
 
 

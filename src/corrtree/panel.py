@@ -154,8 +154,11 @@ def load_panel(
     """
     path = Path(path)
     markers = {m.strip() for m in missing_markers} | {""}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
+    except UnicodeDecodeError:
+        raise _decode_error(path) from None
     if not rows:
         raise PanelParseError(f"{path}: empty file")
 
@@ -171,6 +174,7 @@ def load_panel(
 
     raw_keys: list[str] = []
     data: list[list[float]] = []
+    marked: list[int] = []  # row-major positions of missing-marker cells
     width = len(header)
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != width:
@@ -184,6 +188,7 @@ def load_panel(
         for lab, cell in zip(labels, cells):
             text = cell.strip()
             if text in markers:
+                marked.append(len(data) * len(labels) + len(parsed))
                 parsed.append(np.nan)
                 continue
             try:
@@ -195,20 +200,46 @@ def load_panel(
         data.append(parsed)
     if not data:
         raise SchemaError(f"{path}: no data rows")
+    values = np.array(data, dtype=float).reshape(-1)
+    # A parsed 'nan' or 'inf' literal is an error; only marker cells are
+    # missing. With the markers zeroed, min and max are finite exactly when
+    # every other cell is, and a good file allocates nothing for the check.
+    values[marked] = 0.0
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        k, col = divmod(int(np.flatnonzero(~np.isfinite(values))[0]), len(labels))
+        cell = rows[k + 1][col + 1 if has_timestamps else col]
+        raise PanelParseError(
+            f"{path}: line {k + 2}: non-finite value {cell!r} for asset {labels[col]!r}"
+        )
+    values[marked] = np.nan
+    values = values.reshape(-1, len(labels))
 
     keys: list[Timestamp]
     if has_timestamps:
         keys = list(_coerce_keys(raw_keys))
         order = sorted(range(len(keys)), key=keys.__getitem__)
         keys = [keys[i] for i in order]
-        data = [data[i] for i in order]
+        values = values[order]
         for prev, cur in zip(keys, keys[1:]):
             if prev == cur:
                 raise SchemaError(f"{path}: duplicate timestamp {cur!r}")
     else:
-        keys = list(range(len(data)))
+        keys = list(range(len(values)))
 
-    return TimeSeriesPanel(tuple(labels), tuple(keys), np.array(data, dtype=float))
+    return TimeSeriesPanel(tuple(labels), tuple(keys), values)
+
+
+def _decode_error(path: Path) -> PanelParseError:
+    """Name the first line of ``path`` that is not valid UTF-8."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        return PanelParseError(
+            f"{path}: line {lineno}: byte 0x{data[exc.start]:02x} is not valid UTF-8"
+        )
+    return PanelParseError(f"{path}: not valid UTF-8")  # changed since it was read
 
 
 def _coerce_keys(raw: Sequence[str]) -> list[Timestamp]:

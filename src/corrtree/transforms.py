@@ -92,26 +92,21 @@ def rank_signal(panel: TimeSeriesPanel) -> ReturnsMatrix:
             f"cannot rank timestamp {panel.timestamps[t]!r}: "
             f"missing value for asset {panel.assets[i]!r}"
         )
+    t, n = values.shape
+    order = np.argsort(-values, axis=1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=1)
+    # tie groups are runs of equal values in each sorted row; a group
+    # spanning sorted positions start..end-1 shares the mean rank
+    cols = np.arange(n)
+    opens = np.ones((t, n), dtype=bool)
+    opens[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    closes = np.ones((t, n), dtype=bool)
+    closes[:, :-1] = opens[:, 1:]
+    start = np.maximum.accumulate(np.where(opens, cols, 0), axis=1)
+    end = np.minimum.accumulate(np.where(closes, cols + 1, n)[:, ::-1], axis=1)[:, ::-1]
     out = np.empty_like(values)
-    for t in range(values.shape[0]):
-        out[t] = _mean_ranks_descending(values[t])
+    np.put_along_axis(out, order, (start + 1 + end) / 2.0, axis=1)
     return ReturnsMatrix(panel.assets, out, "rank")
-
-
-def _mean_ranks_descending(row: np.ndarray) -> np.ndarray:
-    order = np.argsort(-row, kind="stable")
-    ranks = np.empty(row.shape, dtype=float)
-    sorted_vals = row[order]
-    i = 0
-    n = len(row)
-    while i < n:
-        j = i
-        while j < n and sorted_vals[j] == sorted_vals[i]:
-            j += 1
-        # positions i+1 .. j occupied by a tie group -> mean rank
-        ranks[order[i:j]] = (i + 1 + j) / 2.0
-        i = j
-    return ranks
 
 
 def zscore(panel: TimeSeriesPanel) -> ReturnsMatrix:

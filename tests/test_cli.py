@@ -248,6 +248,34 @@ class TestSignalsAndRebase:
         assert main(["census", str(panel_path), "--signal", "raw", "--rebase", "XXX"]) == 2
 
 
+class TestBadInput:
+    """Bad panel bytes exit 2 with one line naming the fault, and nothing else on stderr."""
+
+    @pytest.mark.parametrize(
+        ("body", "message"),
+        [
+            (b"t,A,B\n0,1,2\n1,\xff,3\n", "line 3: byte 0xff is not valid UTF-8"),
+            (b"t,A,B\n0,1,2\n1,inf,3\n2,2,4\n", "line 3: non-finite value 'inf' for asset 'A'"),
+            (b"t,A,B\n0,1,NA\n1,2,nan\n2,2,4\n", "line 3: non-finite value 'nan' for asset 'B'"),
+        ],
+    )
+    def test_exit_code_and_sole_message(self, tmp_path, body, message):
+        panel = tmp_path / "bad.csv"
+        panel.write_bytes(body)
+        out = subprocess.run(
+            [sys.executable, "-m", "corrtree", "run", str(panel), "--signal", "raw",
+             "--outdir", str(tmp_path / "arts")],
+            cwd=tmp_path,
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == 2
+        assert out.stderr == f"error: {panel}: {message}\n"
+        assert not (tmp_path / "arts").exists()
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert main([]) == 1

@@ -108,6 +108,26 @@ class TestLoad:
         with pytest.raises(PanelParseError, match=r"line 2.*'B'"):
             load_panel(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", " -Infinity", "1e400"])
+    def test_non_finite_cell_names_line_and_asset(self, tmp_path, cell):
+        # line numbers count file rows, before rows are sorted by timestamp
+        path = write(tmp_path, f"t,A,B\n5,1.0,2.0\n1,NA,{cell}\n")
+        with pytest.raises(PanelParseError, match=rf"line 3: non-finite value '{cell}' for asset 'B'"):
+            load_panel(path)
+
+    def test_nan_marker_still_means_missing(self, tmp_path):
+        path = write(tmp_path, "t,A,B\n0,,2.0\n1,NA,nan\n")
+        with pytest.raises(PanelParseError, match=r"line 3: non-finite value 'nan' for asset 'B'"):
+            load_panel(path)
+        p = load_panel(path, missing_markers=("NA", "nan"))
+        assert np.isnan(p.values).sum() == 3
+
+    def test_undecodable_bytes_name_line(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("t,A,B\n0,1,2\n1,3,4\n2,5,6 \u00e9\n".encode("latin-1"))
+        with pytest.raises(PanelParseError, match=r"line 4: byte 0xe9 is not valid UTF-8"):
+            load_panel(path)
+
     def test_duplicate_header_label(self, tmp_path):
         path = write(tmp_path, "t,A,A\n0,1,2\n")
         with pytest.raises(SchemaError, match="duplicate"):
