@@ -109,23 +109,28 @@ def check_metric_axioms(
 
     if n >= 3:
         # excess[i,j,k] = d[i,j] - (d[i,k] + d[k,j]), over blocks of rows i
-        # in order, so the hits come out in the order of one full scan
+        # in order, so the hits come out in the order of one full scan; only
+        # i < j and k not in {i, j} count
         rows = max(1, _TRIANGLE_BLOCK_BYTES // (8 * n * n))
+        cols = np.arange(n)
         hits = []
         for lo in range(0, n, rows):
             block = d[lo : lo + rows]
-            excess = block[:, :, None] - (block[:, None, :] + d.T[None, :, :])
-            hits.append(np.argwhere(excess > tol) + (lo, 0, 0))
+            own = np.arange(lo, lo + len(block))
+            hit = block[:, :, None] - (block[:, None, :] + d.T[None, :, :]) > tol
+            hit &= (own[:, None] < cols)[:, :, None]
+            hit[own - lo, :, own] = False
+            hit[:, cols, cols] = False
+            hits.append(np.argwhere(hit) + (lo, 0, 0))
         for i, j, k in np.concatenate(hits):
-            if i < j and k != i and k != j:
-                violations.append(
-                    AxiomViolation(
-                        "triangle",
-                        (int(i), int(j), int(k)),
-                        f"d[{i},{j}] = {d[i, j]!r} exceeds "
-                        f"d[{i},{k}] + d[{k},{j}] = {d[i, k] + d[k, j]!r}",
-                    )
+            violations.append(
+                AxiomViolation(
+                    "triangle",
+                    (int(i), int(j), int(k)),
+                    f"d[{i},{j}] = {d[i, j]!r} exceeds "
+                    f"d[{i},{k}] + d[{k},{j}] = {d[i, k] + d[k, j]!r}",
                 )
+            )
 
     violations.sort(key=lambda v: (v.axiom, v.indices))
     return violations

@@ -156,13 +156,15 @@ def load_panel(
     markers = {m.strip() for m in missing_markers} | {""}
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
+            reader = csv.reader(fh, delimiter=delimiter)
+            # each row with the file line it ends on; blank lines still count
+            rows = [(reader.line_num, r) for r in reader if r]
     except UnicodeDecodeError:
         raise _decode_error(path) from None
     if not rows:
         raise PanelParseError(f"{path}: empty file")
 
-    header = rows[0]
+    header = rows[0][1]
     labels = [c.strip() for c in (header[1:] if has_timestamps else header)]
     if any(not lab for lab in labels):
         raise SchemaError(f"{path}: empty asset label in header")
@@ -176,7 +178,7 @@ def load_panel(
     data: list[list[float]] = []
     marked: list[int] = []  # row-major positions of missing-marker cells
     width = len(header)
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != width:
             raise PanelParseError(
                 f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
@@ -207,9 +209,10 @@ def load_panel(
     values[marked] = 0.0
     if not (np.isfinite(values.min()) and np.isfinite(values.max())):
         k, col = divmod(int(np.flatnonzero(~np.isfinite(values))[0]), len(labels))
-        cell = rows[k + 1][col + 1 if has_timestamps else col]
+        lineno, row = rows[k + 1]
+        cell = row[col + 1 if has_timestamps else col]
         raise PanelParseError(
-            f"{path}: line {k + 2}: non-finite value {cell!r} for asset {labels[col]!r}"
+            f"{path}: line {lineno}: non-finite value {cell!r} for asset {labels[col]!r}"
         )
     values[marked] = np.nan
     values = values.reshape(-1, len(labels))

@@ -3,9 +3,12 @@
 These are the straightforward forms of the library's kernels: Kruskal
 over every candidate pair, agglomeration by a full ``argmin`` over the
 working matrix at each step, a breadth-first walk from every root for
-the ultrametric, the n x n x n triangle scan, and row-by-row ranking.
-They are slow and memory-hungry by design; tests compare the vectorised
-kernels with them bit for bit, not within a tolerance.
+the ultrametric, the n x n x n triangle scan, row-by-row ranking, and
+the pairwise-complete correlation one pair at a time. They are slow and
+memory-hungry by design; tests compare the vectorised kernels with them
+bit for bit, not within a tolerance, except the correlation, whose
+summation order changed and which is held to 1e-12 and to identical
+errors.
 """
 
 from __future__ import annotations
@@ -14,9 +17,15 @@ from collections import deque
 
 import numpy as np
 
-from corrtree import DistanceMatrix, Dendrogram, Merge, SpanningTree, TreeEdge
+from corrtree import DistanceMatrix, Dendrogram, Merge, ReturnsMatrix, SpanningTree, TreeEdge
 from corrtree.distance import AxiomViolation
-from corrtree.errors import DomainError, ShapeError, SizeError
+from corrtree.errors import (
+    DegenerateAssetError,
+    DomainError,
+    InsufficientDataError,
+    ShapeError,
+    SizeError,
+)
 from corrtree.mst import _check_offdiag_finite, _UnionFind
 
 
@@ -168,3 +177,35 @@ def mean_ranks_loop(row: np.ndarray) -> np.ndarray:
         ranks[order[i:j]] = (i + 1 + j) / 2.0
         i = j
     return ranks
+
+
+def pairwise_complete_loop(returns: ReturnsMatrix, min_overlap: int) -> np.ndarray:
+    """Correlation of each pair over its joint rows, one pair at a time in (i, j) order."""
+    obs = returns.observations
+    n = returns.n_assets
+    present = ~np.isnan(obs)
+    rho = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            joint = present[:, i] & present[:, j]
+            count = int(joint.sum())
+            pair = f"({returns.assets[i]!r}, {returns.assets[j]!r})"
+            if count < min_overlap:
+                raise InsufficientDataError(
+                    f"pair {pair} has {count} joint observations; need {min_overlap}"
+                )
+            xi = obs[joint, i]
+            xj = obs[joint, j]
+            xi = xi - xi.mean()
+            xi -= xi.mean()
+            xj = xj - xj.mean()
+            xj -= xj.mean()
+            vi = np.mean(xi**2)
+            vj = np.mean(xj**2)
+            if vi == 0.0 or vj == 0.0:
+                asset = returns.assets[i] if vi == 0.0 else returns.assets[j]
+                raise DegenerateAssetError(
+                    f"asset {asset!r} has zero variance on the overlap of pair {pair}"
+                )
+            rho[i, j] = rho[j, i] = np.mean(xi * xj) / np.sqrt(vi * vj)
+    return rho

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 
 import corrtree as ct
-from helpers import child_env, corr_from_pairs, labels, returns
+from helpers import child_env, corr_from_pairs, labels, panel, returns
 
 
 @contextmanager
@@ -227,6 +227,29 @@ def test_criterion_09_byte_determinism(tmp_path):
         assert digests[0] == digests[2], "thread count changed the bytes"
         assert stdouts[0] == stdouts[1] == stdouts[2]
         assert "mst.dot" in digests[0] and "windows/survival.csv" in digests[0]
+
+
+def test_missing_data_bytes_independent_of_thread_count(tmp_path):
+    # NA cells send every correlation down the pairwise-complete path; at
+    # n = 100, T = 600 a BLAS Gram (OpenBLAS 0.3.31) writes different bytes
+    # at 1 and 4 threads
+    rng = np.random.default_rng(41)
+    factors = np.repeat(rng.standard_normal((600, 4)), 25, axis=1)
+    y = 0.8 * factors + 0.6 * rng.standard_normal((600, 100))
+    y[rng.random(y.shape) < 0.01] = np.nan
+    digests = []
+    stdouts = []
+    for threads in (1, 4):
+        workdir = tmp_path / f"threads{threads}"
+        workdir.mkdir()
+        ct.dump_panel(panel(y), workdir / "panel.csv")
+        stdouts.append(
+            _run_cli(["run", "panel.csv", "--signal", "raw", "--outdir", "arts"], workdir, threads)
+        )
+        digests.append(_tree_bytes(workdir / "arts"))
+    assert digests[0] == digests[1], "thread count changed the bytes"
+    assert stdouts[0] == stdouts[1]
+    assert "corr.csv" in digests[0] and "dendrogram.nwk" in digests[0]
 
 
 def test_criterion_10_performance():

@@ -1,5 +1,7 @@
 """Pearson correlation estimation and the correlation census."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from corrtree import (
     pearson_matrix,
 )
 from helpers import corr_from_pairs, labels, returns
+from oracles import pairwise_complete_loop
 
 # frozen: corr([1,2,3],[1,2,4]) = sqrt(27/28), same under population or
 # sample divisors
@@ -118,6 +121,90 @@ class TestPairwiseComplete:
         y = np.array([[1.0, 1.0], [2.0, 1.0], [3.0, 1.0], [np.nan, 9.0]])
         with pytest.raises(DegenerateAssetError, match="overlap"):
             pearson_matrix(returns(y))
+
+
+def adversarial_panel(rng: np.random.Generator, kind: int) -> np.ndarray:
+    """Small panel with missing cells, built to stress the masked Gram.
+
+    Kinds: Gaussian; quantised ties; a column constant on another's rows;
+    a 1e8-level near-constant column; an all-missing column; a regime
+    shift of 30-3000 sigma seen whole by one column and in part by a
+    late-listed one; the same shift at 0.3-3 sigma, around the point
+    where the Gram variance stops counting as clearly positive.
+    """
+    t = int(rng.integers(3, 40))
+    n = int(rng.integers(2, 8))
+    y = rng.standard_normal((t, n))
+    if kind == 1:
+        y = rng.integers(0, int(rng.integers(1, 4)), (t, n)).astype(float)
+    y[rng.random((t, n)) < rng.choice([0.05, 0.15, 0.4])] = np.nan
+    c, d = rng.choice(n, size=2, replace=False)
+    if kind == 2:
+        y[~np.isnan(y[:, d]), c] = rng.standard_normal()
+    elif kind == 3:
+        y[:, c] = 1e8 + np.round(rng.standard_normal(t), int(rng.integers(0, 9)))
+    elif kind == 4:
+        y[:, c] = np.nan
+    elif kind in (5, 6):
+        start = int(rng.integers(1, t))
+        sigmas = 10 ** rng.uniform(1.5, 3.5) if kind == 5 else rng.uniform(0.3, 3.0)
+        y[start:, c] += sigmas * rng.choice([-1.0, 1.0])
+        y[:start, d] = np.nan
+    y *= 10 ** rng.uniform(-3.0, 3.0, n)
+    y += rng.choice([0.0, 1e4], n) * rng.standard_normal(n)
+    if not np.isnan(y).any():  # take the masked path
+        y[rng.integers(t), rng.integers(n)] = np.nan
+    return y
+
+
+class TestMaskedGram:
+    """The masked-Gram routine against the per-pair loop it replaced."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_pair_loop(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        outcomes = {"value": 0, "error": 0}
+        for k in range(600):
+            y = adversarial_panel(rng, k % 7)
+            r = returns(y)
+            min_overlap = int(rng.integers(2, 6))
+            try:
+                expected = pairwise_complete_loop(r, min_overlap)
+            except (InsufficientDataError, DegenerateAssetError) as exc:
+                expected = exc
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    got = pearson_matrix(r, min_overlap=min_overlap).rho
+                except (InsufficientDataError, DegenerateAssetError) as exc:
+                    got = exc
+            if isinstance(expected, Exception):
+                outcomes["error"] += 1
+                assert type(got) is type(expected), (k, got, expected)
+                assert str(got) == str(expected)
+            else:
+                outcomes["value"] += 1
+                assert not isinstance(got, Exception), (k, got)
+                expected = np.clip((expected + expected.T) / 2.0, -1.0, 1.0)
+                np.fill_diagonal(expected, 1.0)
+                assert np.max(np.abs(got - expected)) <= 1e-12, k
+        assert min(outcomes.values()) >= 100, outcomes
+
+    def test_regime_shift_on_late_listing(self):
+        # A's mean moves by 1000 sigma at row 200 and B lists only then,
+        # so A's overlap with B sits 500 sigma from A's column mean.
+        rng = np.random.default_rng(31)
+        y = rng.standard_normal((400, 3))
+        y[:, 1] += 0.5 * y[:, 0]
+        y[200:, 0] += 1000.0
+        y[:200, 1] = np.nan
+        y[rng.random((400, 3)) < 0.01] = np.nan
+        r = returns(y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pearson_matrix(r).rho
+        expected = pairwise_complete_loop(r, 3)
+        assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 class TestMatrixValidation:

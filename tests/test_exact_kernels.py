@@ -121,3 +121,14 @@ def test_axiom_scan_one_row_blocks(monkeypatch):
         violations = check_metric_axioms(d)
         assert violations
         assert violations == metric_axioms_unchunked(d)
+
+
+def test_axiom_scan_skips_degenerate_triangles():
+    # a negative diagonal makes d[i,j] exceed d[i,i] + d[i,j]; triangles with
+    # k in {i, j} are not triangles and must not be reported
+    rng = np.random.default_rng(19)
+    for n in (3, 9, 120):
+        d = planted_violations(rng, n) - 0.5 * np.eye(n)
+        violations = check_metric_axioms(d)
+        assert violations == metric_axioms_unchunked(d)
+        assert all(len(set(v.indices)) == 3 for v in violations if v.axiom == "triangle")

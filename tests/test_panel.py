@@ -115,6 +115,19 @@ class TestLoad:
         with pytest.raises(PanelParseError, match=rf"line 3: non-finite value '{cell}' for asset 'B'"):
             load_panel(path)
 
+    @pytest.mark.parametrize(
+        ("row", "message"),
+        [
+            ("1,2.0", "expected 3 fields, got 2"),
+            ("1,2.0,oops", "cannot parse 'oops' for asset 'B'"),
+            ("1,2.0,inf", "non-finite value 'inf' for asset 'B'"),
+        ],
+    )
+    def test_line_numbers_count_blank_lines(self, tmp_path, row, message):
+        path = write(tmp_path, f"t,A,B\n\n0,1.0,2.0\n{row}\n")
+        with pytest.raises(PanelParseError, match=rf"line 4: {message}$"):
+            load_panel(path)
+
     def test_nan_marker_still_means_missing(self, tmp_path):
         path = write(tmp_path, "t,A,B\n0,,2.0\n1,NA,nan\n")
         with pytest.raises(PanelParseError, match=r"line 3: non-finite value 'nan' for asset 'B'"):
