@@ -50,7 +50,6 @@ from .mst import (
     SpanningTree,
     TreeEdge,
     build_mst,
-    mst_oracle,
     spans_connected_subtree,
     tree_degrees,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "load_panel",
     "log_returns",
     "matrix_csv",
-    "mst_oracle",
     "parse_group_spec",
     "pearson_matrix",
     "rank_signal",

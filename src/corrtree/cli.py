@@ -92,7 +92,7 @@ def run_pipeline(cfg: PipelineConfig) -> int:
     corr = pearson_matrix(returns, min_overlap=cfg.min_overlap)
     dist = to_distance(corr)
     tree = build_mst(dist)
-    dendrogram = single_linkage(dist)
+    dendrogram = single_linkage(tree)
     counts = census(corr)
 
     out = cfg.output_dir
@@ -191,10 +191,10 @@ def _cmd_mst(args: argparse.Namespace) -> int:
 
 def _cmd_dendro(args: argparse.Namespace) -> int:
     corr = pearson_matrix(_load_returns(_config_from_args(args)), min_overlap=args.min_overlap)
-    dist = to_distance(corr)
-    _emit(args.out, export_newick(single_linkage(dist)))
+    tree = build_mst(to_distance(corr))
+    _emit(args.out, export_newick(single_linkage(tree)))
     if args.ultrametric is not None:
-        dhat = subdominant_ultrametric(build_mst(dist))
+        dhat = subdominant_ultrametric(tree)
         _write_text(Path(args.ultrametric), matrix_csv(dhat.assets, dhat.d))
     return 0
 
@@ -271,6 +271,12 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
     return parse
 
 
+def _one_character(text: str) -> str:
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"expected exactly one character, got {text!r}")
+    return text
+
+
 def _groups_argument(text: str) -> tuple[tuple[str, int], ...]:
     try:
         return parse_group_spec(text)
@@ -308,7 +314,7 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
         default="USD",
         help="name for the implicit unit column introduced by --rebase (default: %(default)s)",
     )
-    parser.add_argument("--delimiter", default=",", help="field separator (default: ',')")
+    parser.add_argument("--delimiter", type=_one_character, default=",", help="field separator (default: ',')")
     parser.add_argument(
         "--missing",
         metavar="MARKER",
@@ -386,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_at_least(0), default=0, help="generator seed (default: %(default)s)")
     p.add_argument("--global-loading", type=float, default=0.0, metavar="X",
                    help="optional market-wide factor loading (default: %(default)s)")
-    p.add_argument("--delimiter", default=",", help="field separator (default: ',')")
+    p.add_argument("--delimiter", type=_one_character, default=",", help="field separator (default: ',')")
     p.add_argument("--missing", metavar="MARKER", default="NA",
                    help="missing-value marker (default: %(default)s)")
     p.add_argument("--out", required=True, metavar="PATH", help="panel CSV destination")

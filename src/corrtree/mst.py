@@ -6,10 +6,6 @@ O(n) scratch memory. Edges are compared by the strict total order
 spanning tree is unique; the accepted edges are then sorted by that key,
 which is exactly the order in which greedy shortest-edge-first
 construction (Kruskal) would accept them.
-
-``mst_oracle`` is the brute-force cross-check: it enumerates every
-labelled spanning tree through its Prufer sequence (n^(n-2) of them) and
-returns one of minimum total weight.
 """
 
 from __future__ import annotations
@@ -22,8 +18,6 @@ import numpy as np
 
 from .distance import DistanceMatrix
 from .errors import DomainError, SchemaError, SizeError, UnknownAssetError
-
-ORACLE_MAX_ASSETS = 8
 
 
 class TreeEdge(NamedTuple):
@@ -174,87 +168,6 @@ def build_mst(dist: DistanceMatrix) -> SpanningTree:
         a, b = sorted((labels[i[k]], labels[j[k]]))
         edges.append(TreeEdge(a, b, float(weights[k])))
     return SpanningTree(labels, tuple(edges))
-
-
-def _decode_prufer(seq: Iterable[int], n: int) -> list[tuple[int, int]]:
-    seq = list(seq)
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    edges: list[tuple[int, int]] = []
-    for x in seq:
-        leaf = degree.index(1)
-        edges.append((leaf, x))
-        degree[leaf] -= 1
-        degree[x] -= 1
-    u = degree.index(1)
-    v = degree.index(1, u + 1)
-    edges.append((u, v))
-    return edges
-
-
-def _all_tree_weights(d: np.ndarray, seqs: np.ndarray) -> np.ndarray:
-    """Total weight of the tree encoded by each Prufer sequence, decoded in lock-step."""
-    count, slots = seqs.shape
-    n = d.shape[0]
-    degree = np.ones((count, n), dtype=np.int64)
-    rows = np.arange(count)
-    for k in range(slots):
-        np.add.at(degree, (rows, seqs[:, k]), 1)
-    cols = np.arange(n)
-    total = np.zeros(count)
-    for k in range(slots):
-        leaf = np.where(degree == 1, cols, n).min(axis=1)
-        v = seqs[:, k]
-        total += d[leaf, v]
-        degree[rows, leaf] -= 1
-        degree[rows, v] -= 1
-    lo = np.where(degree == 1, cols, n).min(axis=1)
-    hi = np.where(degree == 1, cols, -1).max(axis=1)
-    return total + d[lo, hi]
-
-
-def mst_oracle(dist: DistanceMatrix) -> SpanningTree:
-    """Exhaustive minimum spanning tree by Prufer-sequence enumeration.
-
-    Bounded to n <= 8 (n^(n-2) labelled trees). Ties on total weight are
-    broken by the lexicographically smallest sorted edge list.
-    """
-    n = dist.n_assets
-    if n < 2:
-        raise SizeError(f"need at least 2 assets, got {n}")
-    if n > ORACLE_MAX_ASSETS:
-        raise SizeError(f"enumeration bounded to {ORACLE_MAX_ASSETS} assets, got {n}")
-    _check_offdiag_finite(dist)
-    labels = dist.assets
-    d = dist.d
-    if n == 2:
-        a, b = sorted(labels)
-        return SpanningTree(labels, (TreeEdge(a, b, float(d[0, 1])),))
-
-    count = n ** (n - 2)
-    seqs = np.indices((n,) * (n - 2)).reshape(n - 2, count).T.copy()
-    totals = _all_tree_weights(d, seqs)
-
-    # Refine near-minimal candidates with exact summation before tie-breaking.
-    near = np.flatnonzero(totals <= totals.min() + 1e-9)
-    best_weight = math.inf
-    best_edges: list[tuple[str, str, float]] | None = None
-    for idx in near:
-        pairs = _decode_prufer(seqs[idx], n)
-        named = sorted(
-            (*sorted((labels[u], labels[v])), float(d[u, v])) for u, v in pairs
-        )
-        weight = math.fsum(sorted(w for _, _, w in named))
-        key = [(a, b) for a, b, _ in named]
-        if weight < best_weight or (
-            weight == best_weight and best_edges is not None and key < [(a, b) for a, b, _ in best_edges]
-        ):
-            best_weight = weight
-            best_edges = named
-    assert best_edges is not None
-    ordered = sorted(best_edges, key=lambda e: (e[2], e[0], e[1]))
-    return SpanningTree(labels, tuple(TreeEdge(a, b, w) for a, b, w in ordered))
 
 
 def tree_degrees(tree: SpanningTree) -> dict[str, int]:

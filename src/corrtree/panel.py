@@ -146,8 +146,9 @@ def load_panel(
     Raises
     ------
     PanelParseError
-        Malformed row width or an unparseable value cell; the message
-        names the offending line.
+        Malformed row width, a row the CSV reader rejects (such as a
+        cell past its field size limit), an unparseable value cell or
+        undecodable bytes; the message names the offending line.
     SchemaError
         Duplicate asset labels, fewer than two assets, duplicate
         timestamps, or no data rows.
@@ -157,8 +158,11 @@ def load_panel(
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
-            # each row with the file line it ends on; blank lines still count
-            rows = [(reader.line_num, r) for r in reader if r]
+            try:
+                # each row with the file line it ends on; blank lines still count
+                rows = [(reader.line_num, r) for r in reader if r]
+            except csv.Error as exc:
+                raise PanelParseError(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
         raise _decode_error(path) from None
     if not rows:

@@ -1,19 +1,23 @@
 """Reference implementations the shipped kernels are held to exactly.
 
 These are the straightforward forms of the library's kernels: Kruskal
-over every candidate pair, agglomeration by a full ``argmin`` over the
-working matrix at each step, a breadth-first walk from every root for
-the ultrametric, the n x n x n triangle scan, row-by-row ranking, and
-the pairwise-complete correlation one pair at a time. They are slow and
-memory-hungry by design; tests compare the vectorised kernels with them
-bit for bit, not within a tolerance, except the correlation, whose
-summation order changed and which is held to 1e-12 and to identical
-errors.
+over every candidate pair, exhaustive enumeration of spanning trees
+through their Prufer sequences, agglomeration by a full ``argmin`` over
+the working matrix at each step, a replay of the tree's edges that finds
+each endpoint's cluster by a linear search, a breadth-first walk from
+every root for the ultrametric, the n x n x n triangle scan, row-by-row
+ranking, and the pairwise-complete correlation one pair at a time. They
+are slow and memory-hungry by design; tests compare the vectorised
+kernels with them bit for bit, not within a tolerance, except the
+correlation, whose summation order changed and which is held to 1e-12
+and to identical errors.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from typing import Iterable
 
 import numpy as np
 
@@ -27,6 +31,8 @@ from corrtree.errors import (
     SizeError,
 )
 from corrtree.mst import _check_offdiag_finite, _UnionFind
+
+ORACLE_MAX_ASSETS = 8
 
 
 def kruskal_mst(dist: DistanceMatrix) -> SpanningTree:
@@ -56,6 +62,102 @@ def kruskal_mst(dist: DistanceMatrix) -> SpanningTree:
             if len(edges) == n - 1:
                 break
     return SpanningTree(labels, tuple(edges))
+
+
+def _decode_prufer(seq: Iterable[int], n: int) -> list[tuple[int, int]]:
+    seq = list(seq)
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    edges: list[tuple[int, int]] = []
+    for x in seq:
+        leaf = degree.index(1)
+        edges.append((leaf, x))
+        degree[leaf] -= 1
+        degree[x] -= 1
+    u = degree.index(1)
+    v = degree.index(1, u + 1)
+    edges.append((u, v))
+    return edges
+
+
+def _all_tree_weights(d: np.ndarray, seqs: np.ndarray) -> np.ndarray:
+    """Total weight of the tree encoded by each Prufer sequence, decoded in lock-step."""
+    count, slots = seqs.shape
+    n = d.shape[0]
+    degree = np.ones((count, n), dtype=np.int64)
+    rows = np.arange(count)
+    for k in range(slots):
+        np.add.at(degree, (rows, seqs[:, k]), 1)
+    cols = np.arange(n)
+    total = np.zeros(count)
+    for k in range(slots):
+        leaf = np.where(degree == 1, cols, n).min(axis=1)
+        v = seqs[:, k]
+        total += d[leaf, v]
+        degree[rows, leaf] -= 1
+        degree[rows, v] -= 1
+    lo = np.where(degree == 1, cols, n).min(axis=1)
+    hi = np.where(degree == 1, cols, -1).max(axis=1)
+    return total + d[lo, hi]
+
+
+def mst_oracle(dist: DistanceMatrix) -> SpanningTree:
+    """Exhaustive minimum spanning tree by Prufer-sequence enumeration.
+
+    Bounded to n <= 8 (n^(n-2) labelled trees). Ties on total weight are
+    broken by the lexicographically smallest sorted edge list.
+    """
+    n = dist.n_assets
+    if n < 2:
+        raise SizeError(f"need at least 2 assets, got {n}")
+    if n > ORACLE_MAX_ASSETS:
+        raise SizeError(f"enumeration bounded to {ORACLE_MAX_ASSETS} assets, got {n}")
+    _check_offdiag_finite(dist)
+    labels = dist.assets
+    d = dist.d
+    if n == 2:
+        a, b = sorted(labels)
+        return SpanningTree(labels, (TreeEdge(a, b, float(d[0, 1])),))
+
+    count = n ** (n - 2)
+    seqs = np.indices((n,) * (n - 2)).reshape(n - 2, count).T.copy()
+    totals = _all_tree_weights(d, seqs)
+
+    # Refine near-minimal candidates with exact summation before tie-breaking.
+    near = np.flatnonzero(totals <= totals.min() + 1e-9)
+    best_weight = math.inf
+    best_edges: list[tuple[str, str, float]] | None = None
+    for idx in near:
+        pairs = _decode_prufer(seqs[idx], n)
+        named = sorted(
+            (*sorted((labels[u], labels[v])), float(d[u, v])) for u, v in pairs
+        )
+        weight = math.fsum(sorted(w for _, _, w in named))
+        key = [(a, b) for a, b, _ in named]
+        if weight < best_weight or (
+            weight == best_weight and best_edges is not None and key < [(a, b) for a, b, _ in best_edges]
+        ):
+            best_weight = weight
+            best_edges = named
+    assert best_edges is not None
+    ordered = sorted(best_edges, key=lambda e: (e[2], e[0], e[1]))
+    return SpanningTree(labels, tuple(TreeEdge(a, b, w) for a, b, w in ordered))
+
+def replay_merges(dist: DistanceMatrix) -> Dendrogram:
+    """Kruskal's edges in acceptance order as merges, clusters kept as member sets."""
+    tree = kruskal_mst(dist)
+    n = tree.n_assets
+    index = {a: i for i, a in enumerate(tree.assets)}
+    clusters: dict[int, frozenset[int]] = {i: frozenset([i]) for i in range(n)}
+    merges: list[Merge] = []
+    for k, e in enumerate(tree.edges):
+        ca = next(c for c, members in clusters.items() if index[e.a] in members)
+        cb = next(c for c, members in clusters.items() if index[e.b] in members)
+        clusters[n + k] = clusters.pop(ca) | clusters.pop(cb)
+        left, right = sorted((ca, cb))
+        merges.append(Merge(left, right, e.weight + 0.0))
+    return Dendrogram(tree.assets, tuple(merges))
 
 
 def agglomerate_full_argmin(dist: DistanceMatrix) -> Dendrogram:

@@ -15,6 +15,7 @@ import numpy as np
 
 import corrtree as ct
 from helpers import child_env, corr_from_pairs, labels, panel, returns
+from oracles import agglomerate_full_argmin, mst_oracle
 
 
 @contextmanager
@@ -80,7 +81,7 @@ def test_criterion_03_oracle_equivalence():
             else:
                 t = n + int(rng.integers(2, 25))
                 dist = ct.to_distance(ct.pearson_matrix(returns(rng.standard_normal((t, n)))))
-            assert ct.build_mst(dist).total_weight() == ct.mst_oracle(dist).total_weight()
+            assert ct.build_mst(dist).total_weight() == mst_oracle(dist).total_weight()
         assert time.perf_counter() - start < 30.0
 
 
@@ -104,7 +105,7 @@ def test_criterion_05_ultrametric_suite():
             dhat = ct.subdominant_ultrametric(ct.build_mst(dist)).d
             assert np.all(dhat <= dist.d + 1e-12)
             assert np.all(dhat[:, :, None] <= np.maximum(dhat[:, None, :], dhat[None, :, :]) + 1e-12)
-            coph = ct.cophenetic_matrix(ct.single_linkage(dist)).d
+            coph = ct.cophenetic_matrix(agglomerate_full_argmin(dist)).d
             assert np.max(np.abs(dhat - coph)) <= 1e-12
 
 

@@ -55,6 +55,13 @@ class TestSynthCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_bad_delimiter_is_usage_error(self, tmp_path, capsys, delimiter):
+        path = tmp_path / "x.csv"
+        assert main([*synth_args(path), "--delimiter", delimiter]) == 1
+        assert "exactly one character" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_bad_loading_is_data_error(self, tmp_path):
         args = synth_args(tmp_path / "x.csv")
         args[args.index("--loading") + 1] = "1.5"
@@ -257,6 +264,11 @@ class TestBadInput:
             (b"t,A,B\n0,1,2\n1,\xff,3\n", "line 3: byte 0xff is not valid UTF-8"),
             (b"t,A,B\n0,1,2\n1,inf,3\n2,2,4\n", "line 3: non-finite value 'inf' for asset 'A'"),
             (b"t,A,B\n0,1,NA\n1,2,nan\n2,2,4\n", "line 3: non-finite value 'nan' for asset 'B'"),
+            pytest.param(
+                b"t,A,B\n1,1,2\n2," + b"1" * 200_000 + b",2\n",
+                "line 3: field larger than field limit (131072)",
+                id="field-larger-than-limit",
+            ),
         ],
     )
     def test_exit_code_and_sole_message(self, tmp_path, body, message):
@@ -289,6 +301,11 @@ class TestUsage:
 
     def test_min_overlap_too_small(self, panel_path):
         assert main(["census", str(panel_path), "--min-overlap", "1"]) == 1
+
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_bad_delimiter(self, panel_path, capsys, delimiter):
+        assert main(["census", str(panel_path), "--delimiter", delimiter]) == 1
+        assert "exactly one character" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

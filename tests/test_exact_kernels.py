@@ -5,11 +5,15 @@ import pytest
 
 import corrtree.distance as distance_module
 from corrtree import (
+    Dendrogram,
     DistanceMatrix,
+    Merge,
     SpanningTree,
     TimeSeriesPanel,
     build_mst,
     check_metric_axioms,
+    cophenetic_matrix,
+    export_newick,
     rank_signal,
     single_linkage,
     subdominant_ultrametric,
@@ -21,6 +25,7 @@ from oracles import (
     kruskal_mst,
     mean_ranks_loop,
     metric_axioms_unchunked,
+    replay_merges,
 )
 
 
@@ -44,13 +49,27 @@ def tied_distance(rng: np.random.Generator, n: int) -> DistanceMatrix:
     return DistanceMatrix(labels, d)
 
 
+def heights_bytes(dendrogram: Dendrogram) -> bytes:
+    return np.array([m.height for m in dendrogram.merges]).tobytes()
+
+
 def assert_kernels_exact(dist: DistanceMatrix) -> None:
     tree = build_mst(dist)
     assert tree.edges == kruskal_mst(dist).edges
-    assert single_linkage(dist).merges == agglomerate_full_argmin(dist).merges
-    fast, slow = subdominant_ultrametric(tree).d, bfs_ultrametric(tree).d
-    assert np.array_equal(fast, slow)
-    assert fast.tobytes() == slow.tobytes()
+    dendrogram = single_linkage(tree)
+    replayed = replay_merges(dist)
+    assert dendrogram.merges == replayed.merges
+    assert heights_bytes(dendrogram) == heights_bytes(replayed)
+    agglomerated = agglomerate_full_argmin(dist)
+    weights = [e.weight for e in tree.edges]
+    if len(set(weights)) == len(weights):
+        assert dendrogram.merges == agglomerated.merges
+    coph = cophenetic_matrix(dendrogram).d.tobytes()
+    # the agglomeration keeps a -0.0 distance as a -0.0 height; the replay
+    # writes 0.0, as the ultrametric always has
+    assert coph == (cophenetic_matrix(agglomerated).d + 0.0).tobytes()
+    assert coph == bfs_ultrametric(tree).d.tobytes()
+    assert subdominant_ultrametric(tree).d.tobytes() == coph
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -74,6 +93,45 @@ def test_ultrametric_ignores_edge_order():
     tree = build_mst(tied_distance(rng, 12))
     shuffled = SpanningTree(tree.assets, tuple(reversed(tree.edges)))
     assert np.array_equal(subdominant_ultrametric(shuffled).d, bfs_ultrametric(tree).d)
+
+
+def test_tied_merges_follow_construction_order():
+    # A-B, A-D and B-C tie at 0.5 and all enter the tree; they merge in
+    # construction order (weight, smaller label, larger label)
+    d = np.full((4, 4), 0.9)
+    np.fill_diagonal(d, 0.0)
+    for i, j in ((0, 1), (1, 2), (0, 3)):
+        d[i, j] = d[j, i] = 0.5
+    dendrogram = single_linkage(build_mst(DistanceMatrix(("A", "B", "C", "D"), d)))
+    assert dendrogram.merges == (Merge(0, 1, 0.5), Merge(3, 4, 0.5), Merge(2, 5, 0.5))
+    assert export_newick(dendrogram) == (
+        "(C:0.25,(D:0.25,(A:0.25,B:0.25):0.0):0.0):0.0;\n"
+    )
+
+
+def label_merges(dendrogram: Dendrogram) -> list[tuple[frozenset, float]]:
+    """Each merge as the unordered pair of label sets it joins, with its height."""
+    n = dendrogram.n_leaves
+    members = {i: frozenset([label]) for i, label in enumerate(dendrogram.leaves)}
+    merges = []
+    for k, m in enumerate(dendrogram.merges):
+        left, right = members.pop(m.left), members.pop(m.right)
+        members[n + k] = left | right
+        merges.append((frozenset((left, right)), m.height))
+    return merges
+
+
+def test_merges_ignore_column_order():
+    rng = np.random.default_rng(23)
+    for _ in range(600):
+        dist = tied_distance(rng, int(rng.integers(3, 12)))
+        perm = rng.permutation(dist.n_assets)
+        permuted = DistanceMatrix(
+            tuple(dist.assets[p] for p in perm), dist.d[np.ix_(perm, perm)]
+        )
+        assert label_merges(single_linkage(build_mst(permuted))) == label_merges(
+            single_linkage(build_mst(dist))
+        )
 
 
 def test_rank_signal_matches_row_loop():

@@ -158,7 +158,7 @@ class TestNewick:
     def test_parse_back_recovers_merge_partitions(self):
         rng = np.random.default_rng(4)
         dist = random_data_distance(rng, 9)
-        dg = single_linkage(dist)
+        dg = single_linkage(build_mst(dist))
         acc = []
         leaf_sets(parse_newick(export_newick(dg)), acc)
 
@@ -173,7 +173,7 @@ class TestNewick:
     def test_leaf_to_leaf_path_equals_cophenetic(self):
         rng = np.random.default_rng(5)
         dist = random_data_distance(rng, 7)
-        dg = single_linkage(dist)
+        dg = single_linkage(build_mst(dist))
         coph = cophenetic_matrix(dg)
         index = {a: i for i, a in enumerate(coph.assets)}
         root = parse_newick(export_newick(dg))
@@ -204,7 +204,7 @@ class TestNewick:
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
-        dg = single_linkage(random_data_distance(rng, 8))
+        dg = single_linkage(build_mst(random_data_distance(rng, 8)))
         assert export_newick(dg) == export_newick(dg)
 
 

@@ -1,4 +1,4 @@
-"""Dendrograms: subdominant ultrametric vs single-linkage agglomeration."""
+"""Dendrograms read off the spanning tree, against agglomeration and scipy."""
 
 import numpy as np
 import pytest
@@ -13,12 +13,15 @@ from corrtree import (
     Merge,
     SchemaError,
     SizeError,
+    SpanningTree,
+    TreeEdge,
     build_mst,
     cophenetic_matrix,
     single_linkage,
     subdominant_ultrametric,
 )
 from helpers import random_data_distance
+from oracles import agglomerate_full_argmin
 from test_mst import distance_from
 
 
@@ -27,18 +30,18 @@ class TestSingleLinkage:
         dist = distance_from(
             "ABC", {("A", "B"): 0.2, ("A", "C"): 0.9, ("B", "C"): 0.7}
         )
-        dg = single_linkage(dist)
+        dg = single_linkage(build_mst(dist))
         assert dg.merges == (Merge(0, 1, 0.2), Merge(2, 3, 0.7))
 
     def test_needs_two_assets(self):
         from corrtree import DistanceMatrix
 
         with pytest.raises(SizeError):
-            single_linkage(DistanceMatrix(("A",), np.zeros((1, 1))))
+            single_linkage(build_mst(DistanceMatrix(("A",), np.zeros((1, 1)))))
 
     def test_heights_non_decreasing(self):
         rng = np.random.default_rng(1)
-        dg = single_linkage(random_data_distance(rng, 10))
+        dg = single_linkage(build_mst(random_data_distance(rng, 10)))
         heights = [m.height for m in dg.merges]
         assert heights == sorted(heights)
 
@@ -47,7 +50,7 @@ class TestSingleLinkage:
         for _ in range(25):
             n = int(rng.integers(3, 12))
             dist = random_data_distance(rng, n)
-            ours = cophenetic_matrix(single_linkage(dist)).d
+            ours = cophenetic_matrix(single_linkage(build_mst(dist))).d
             link = sch.linkage(ssd.squareform(dist.d, checks=False), method="single")
             theirs = ssd.squareform(sch.cophenet(link))
             assert np.max(np.abs(ours - theirs)) <= 1e-12
@@ -57,7 +60,9 @@ class TestSingleLinkage:
 
         d = np.array([[0.0, np.inf], [np.inf, 0.0]])
         with pytest.raises(DomainError):
-            single_linkage(DistanceMatrix(("A", "B"), d))
+            single_linkage(build_mst(DistanceMatrix(("A", "B"), d)))
+        with pytest.raises(DomainError):
+            single_linkage(SpanningTree(("A", "B"), (TreeEdge("A", "B", np.inf),)))
 
 
 class TestSubdominantUltrametric:
@@ -101,7 +106,7 @@ class TestSubdominantUltrametric:
         for _ in range(30):
             dist = random_data_distance(rng, int(rng.integers(3, 12)))
             dhat = subdominant_ultrametric(build_mst(dist)).d
-            coph = cophenetic_matrix(single_linkage(dist)).d
+            coph = cophenetic_matrix(agglomerate_full_argmin(dist)).d
             assert np.max(np.abs(dhat - coph)) <= 1e-12
 
 
@@ -110,7 +115,7 @@ class TestDendrogram:
         dist = distance_from(
             "ABC", {("A", "B"): 0.2, ("A", "C"): 0.9, ("B", "C"): 0.7}
         )
-        dg = single_linkage(dist)
+        dg = single_linkage(build_mst(dist))
         assert dg.partition_at(0.1) == [
             frozenset({"A"}),
             frozenset({"B"}),
@@ -148,5 +153,5 @@ def test_gower_ross_equivalence(seed):
     rng = np.random.default_rng(seed)
     dist = random_data_distance(rng, int(rng.integers(3, 9)))
     dhat = subdominant_ultrametric(build_mst(dist)).d
-    coph = cophenetic_matrix(single_linkage(dist)).d
+    coph = cophenetic_matrix(agglomerate_full_argmin(dist)).d
     assert np.max(np.abs(dhat - coph)) <= 1e-12

@@ -14,12 +14,12 @@ from corrtree import (
     TreeEdge,
     UnknownAssetError,
     build_mst,
-    mst_oracle,
     spans_connected_subtree,
     to_distance,
     tree_degrees,
 )
 from helpers import corr_from_pairs, random_data_distance
+from oracles import mst_oracle
 
 
 def distance_from(labels, entries):

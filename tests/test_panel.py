@@ -1,12 +1,15 @@
 """Panel loading, validation, serialization and alignment."""
 
+import contextlib
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrtree import (
     AlignmentError,
+    CorrTreeError,
     PanelParseError,
     SchemaError,
     TimeSeriesPanel,
@@ -220,3 +223,24 @@ def test_csv_round_trip_is_lossless(data, tmp_path_factory):
     q = load_panel(dump_panel(p, tmp / "p.csv"))
     assert q == p
     assert q.timestamps == p.timestamps
+
+
+# csv's default field size limit is 131072 characters
+fuzz_cell = st.one_of(
+    st.text(max_size=6),
+    st.floats().map(repr),
+    st.sampled_from(["", "NA", "nan", "inf", "1e999", '"', "\x00", "\r"]),
+    st.integers(131_000, 131_100).map(lambda k: "1" * k),
+)
+fuzz_text = st.lists(
+    st.lists(fuzz_cell, min_size=1, max_size=4), max_size=5
+).map(lambda rows: "\n".join(",".join(row) for row in rows).encode("utf-8"))
+
+
+@settings(max_examples=200)
+@given(body=st.one_of(fuzz_text, st.binary(max_size=64), st.text().map(str.encode)))
+def test_random_file_loads_or_raises_package_error(body, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "panel.csv"
+    path.write_bytes(body)
+    with contextlib.suppress(CorrTreeError):
+        load_panel(path)
