@@ -15,7 +15,7 @@ from .correlation import (
     census,
     pearson_matrix,
 )
-from .distance import AxiomViolation, DistanceMatrix, check_metric_axioms, to_distance
+from .distance import DistanceMatrix, to_distance
 from .dynamics import (
     SplitComparison,
     TreeSequence,
@@ -25,7 +25,6 @@ from .dynamics import (
     split_compare,
 )
 from .errors import (
-    AlignmentError,
     ComparisonError,
     CorrTreeError,
     DegenerateAssetError,
@@ -34,26 +33,13 @@ from .errors import (
     InsufficientDataError,
     PanelParseError,
     SchemaError,
-    ShapeError,
     SizeError,
     UnknownAssetError,
 )
 from .export import export_dot, export_graphml, export_newick, matrix_csv, survival_csv
-from .hierarchy import (
-    Dendrogram,
-    Merge,
-    cophenetic_matrix,
-    single_linkage,
-    subdominant_ultrametric,
-)
-from .mst import (
-    SpanningTree,
-    TreeEdge,
-    build_mst,
-    spans_connected_subtree,
-    tree_degrees,
-)
-from .panel import TimeSeriesPanel, align_panels, dump_panel, load_panel
+from .hierarchy import Dendrogram, Merge, single_linkage, subdominant_ultrametric
+from .mst import SpanningTree, TreeEdge, build_mst, spans_connected_subtree
+from .panel import TimeSeriesPanel, dump_panel, load_panel
 from .synth import FactorModelSpec, generate, parse_group_spec
 from .transforms import (
     SIGNAL_KINDS,
@@ -68,8 +54,6 @@ from .transforms import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentError",
-    "AxiomViolation",
     "ComparisonError",
     "CorrTreeError",
     "CorrelationCensus",
@@ -87,7 +71,6 @@ __all__ = [
     "SIGNAL_KINDS",
     "STRONG_THRESHOLD",
     "SchemaError",
-    "ShapeError",
     "SizeError",
     "SpanningTree",
     "SplitComparison",
@@ -96,11 +79,8 @@ __all__ = [
     "TreeSequence",
     "UnknownAssetError",
     "WindowSpec",
-    "align_panels",
     "build_mst",
     "census",
-    "check_metric_axioms",
-    "cophenetic_matrix",
     "dump_panel",
     "edge_survival",
     "export_dot",
@@ -122,6 +102,5 @@ __all__ = [
     "subdominant_ultrametric",
     "survival_csv",
     "to_distance",
-    "tree_degrees",
     "zscore",
 ]

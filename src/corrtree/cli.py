@@ -1,5 +1,9 @@
 """Command-line orchestration of the panel -> taxonomy pipeline.
 
+Every subcommand that reads a panel is a view of one staged pipeline
+(``_run_stages``): it runs the stages its artifacts need, in order, and
+writes their text (``_artifact_text``).
+
 Exit codes: 0 success, 1 bad command line, 2 data/domain error (bad
 input file, degenerate series, unknown label, unreadable path),
 3 unexpected internal failure.
@@ -9,14 +13,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, Collection, Sequence
 
-from .correlation import CorrelationCensus, census, pearson_matrix
+from .correlation import census, pearson_matrix
 from .distance import to_distance
 from .dynamics import TreeSequence, WindowSpec, rolling_trees
-from .errors import CorrTreeError, GeneratorSpecError, SchemaError
+from .errors import CorrTreeError, GeneratorSpecError
 from .export import export_dot, export_graphml, export_newick, matrix_csv, survival_csv
 from .hierarchy import single_linkage, subdominant_ultrametric
 from .mst import build_mst
@@ -33,98 +36,76 @@ _SIGNALS: dict[str, Callable[[TimeSeriesPanel], ReturnsMatrix]] = {
 
 EXPORT_FORMATS = ("dot", "graphml", "newick", "csv", "json")
 
+_STAGES = ("returns", "corr", "dist", "tree", "dendrogram")
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Everything the full pipeline run needs, validated up front."""
+# artifact file name -> the last pipeline stage its text reads
+_ARTIFACT_STAGE = {
+    "corr.csv": "corr",
+    "dist.csv": "dist",
+    "ultrametric.csv": "dendrogram",
+    "mst.dot": "tree",
+    "mst.graphml": "tree",
+    "dendrogram.nwk": "dendrogram",
+    "census.json": "corr",
+}
 
-    input_path: Path
-    output_dir: Path
-    signal: str = "log-return"
-    rebase_to: str | None = None
-    numeraire: str = "USD"
-    window: WindowSpec | None = None
-    formats: frozenset[str] = frozenset(EXPORT_FORMATS)
-    delimiter: str = ","
-    missing_marker: str = "NA"
-    min_overlap: int = 3
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "input_path", Path(self.input_path))
-        object.__setattr__(self, "output_dir", Path(self.output_dir))
-        object.__setattr__(self, "formats", frozenset(self.formats))
-        if not self.formats:
-            raise SchemaError("need at least one export format")
-        unknown = self.formats.difference(EXPORT_FORMATS)
-        if unknown:
-            raise SchemaError(f"unknown export format(s): {sorted(unknown)}")
-        if self.signal not in _SIGNALS:
-            raise SchemaError(
-                f"unknown signal {self.signal!r}; expected one of {sorted(_SIGNALS)}"
-            )
-        if self.min_overlap < 2:
-            raise SchemaError(f"min_overlap must be >= 2, got {self.min_overlap}")
+# ``run --formats`` entry -> the artifacts it selects
+_FORMAT_ARTIFACTS = {
+    "csv": ("corr.csv", "dist.csv", "ultrametric.csv"),
+    "dot": ("mst.dot",),
+    "graphml": ("mst.graphml",),
+    "newick": ("dendrogram.nwk",),
+    "json": ("census.json",),
+}
 
 
-def _load_returns(cfg: PipelineConfig) -> ReturnsMatrix:
-    panel = load_panel(
-        cfg.input_path,
-        delimiter=cfg.delimiter,
-        missing_markers=("", cfg.missing_marker),
-    )
-    if cfg.rebase_to is not None:
-        panel = rebase(panel, cfg.rebase_to, numeraire=cfg.numeraire)
-    return _SIGNALS[cfg.signal](panel)
+def _run_stages(args: argparse.Namespace, last: str) -> dict[str, Any]:
+    """Run load -> rebase -> signal -> correlation -> distance -> tree -> dendrogram.
 
-
-def _window_pad(count: int) -> int:
-    return max(3, len(str(count - 1)))
-
-
-def run_pipeline(cfg: PipelineConfig) -> int:
-    """Run panel -> correlation -> distance -> tree -> dendrogram, write artifacts.
-
-    All artifacts are composed in memory before anything touches disk,
-    so a failing stage leaves no partial output. The census record is
-    printed to standard output either way.
+    Stops after the stage named ``last`` (one of :data:`_STAGES`) and
+    returns every stage's result by name. Each stage function is looked
+    up as a module global when it is called.
     """
-    returns = _load_returns(cfg)
-    corr = pearson_matrix(returns, min_overlap=cfg.min_overlap)
-    dist = to_distance(corr)
-    tree = build_mst(dist)
-    dendrogram = single_linkage(tree)
-    counts = census(corr)
+    stop = _STAGES.index(last)
+    panel = load_panel(args.input, delimiter=args.delimiter, missing_markers=("", args.missing))
+    if args.rebase is not None:
+        panel = rebase(panel, args.rebase, numeraire=args.numeraire)
+    stages: dict[str, Any] = {"returns": _SIGNALS[args.signal](panel)}
+    del panel  # the signal copied what it needs; free the raw values before the n x n stages
+    if stop >= 1:
+        stages["corr"] = pearson_matrix(stages["returns"], min_overlap=args.min_overlap)
+    if stop >= 2:
+        stages["dist"] = to_distance(stages["corr"])
+    if stop >= 3:
+        stages["tree"] = build_mst(stages["dist"])
+    if stop >= 4:
+        stages["dendrogram"] = single_linkage(stages["tree"])
+    return stages
 
-    out = cfg.output_dir
-    artifacts: dict[Path, str] = {}
-    if "csv" in cfg.formats:
-        artifacts[out / "corr.csv"] = matrix_csv(corr.assets, corr.rho)
-        artifacts[out / "dist.csv"] = matrix_csv(dist.assets, dist.d)
-        dhat = subdominant_ultrametric(tree)
-        artifacts[out / "ultrametric.csv"] = matrix_csv(dhat.assets, dhat.d)
-    if "dot" in cfg.formats:
-        artifacts[out / "mst.dot"] = export_dot(tree)
-    if "graphml" in cfg.formats:
-        artifacts[out / "mst.graphml"] = export_graphml(tree)
-    if "newick" in cfg.formats:
-        artifacts[out / "dendrogram.nwk"] = export_newick(dendrogram)
-    if "json" in cfg.formats:
-        artifacts[out / "census.json"] = _census_line(counts)
-    if cfg.window is not None:
-        sequence = rolling_trees(returns, cfg.window, min_overlap=cfg.min_overlap)
-        artifacts.update(_window_artifacts(out / "windows", sequence, cfg.formats))
 
-    for path, text in artifacts.items():
-        _write_text(path, text)
-    sys.stdout.write(_census_line(counts))
-    return 0
+def _artifact_text(name: str, stages: dict[str, Any]) -> str:
+    """Text of the artifact file ``name`` (a key of :data:`_ARTIFACT_STAGE`)."""
+    if name == "corr.csv":
+        return matrix_csv(stages["corr"].assets, stages["corr"].rho)
+    if name == "dist.csv":
+        return matrix_csv(stages["dist"].assets, stages["dist"].d)
+    if name == "ultrametric.csv":
+        dhat = subdominant_ultrametric(stages["dendrogram"])
+        return matrix_csv(dhat.assets, dhat.d)
+    if name == "mst.dot":
+        return export_dot(stages["tree"])
+    if name == "mst.graphml":
+        return export_graphml(stages["tree"])
+    if name == "dendrogram.nwk":
+        return export_newick(stages["dendrogram"])
+    return census(stages["corr"]).to_json() + "\n"  # census.json
 
 
 def _window_artifacts(
-    directory: Path, sequence: TreeSequence, formats: frozenset[str]
+    directory: Path, sequence: TreeSequence, formats: Collection[str]
 ) -> dict[Path, str]:
     artifacts = {directory / "survival.csv": survival_csv(sequence)}
-    pad = _window_pad(len(sequence))
+    pad = max(3, len(str(len(sequence) - 1)))
     for k, tree in enumerate(sequence.trees):
         stem = f"tree_{k:0{pad}d}"
         if "dot" in formats:
@@ -134,85 +115,62 @@ def _window_artifacts(
     return artifacts
 
 
-def _census_line(counts: CorrelationCensus) -> str:
-    return counts.to_json() + "\n"
-
-
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
-def _emit(target: str, text: str) -> None:
-    if target == "-":
-        sys.stdout.write(text)
-    else:
-        _write_text(Path(target), text)
-
-
 # ---------------------------------------------------------------- commands
 
 
-def _config_from_args(args: argparse.Namespace, **overrides: object) -> PipelineConfig:
-    return PipelineConfig(
-        input_path=args.input,
-        output_dir=overrides.pop("output_dir", Path(".")),
-        signal=args.signal,
-        rebase_to=args.rebase,
-        numeraire=args.numeraire,
-        delimiter=args.delimiter,
-        missing_marker=args.missing,
-        min_overlap=args.min_overlap,
-        **overrides,
-    )
-
-
-def _cmd_corr(args: argparse.Namespace) -> int:
-    corr = pearson_matrix(_load_returns(_config_from_args(args)), min_overlap=args.min_overlap)
-    _emit(args.out, matrix_csv(corr.assets, corr.rho))
-    return 0
-
-
-def _cmd_dist(args: argparse.Namespace) -> int:
-    corr = pearson_matrix(_load_returns(_config_from_args(args)), min_overlap=args.min_overlap)
-    dist = to_distance(corr)
-    _emit(args.out, matrix_csv(dist.assets, dist.d))
-    return 0
-
-
-def _cmd_mst(args: argparse.Namespace) -> int:
-    corr = pearson_matrix(_load_returns(_config_from_args(args)), min_overlap=args.min_overlap)
-    tree = build_mst(to_distance(corr))
-    text = export_dot(tree) if args.format == "dot" else export_graphml(tree)
-    _emit(args.out, text)
-    return 0
-
-
-def _cmd_dendro(args: argparse.Namespace) -> int:
-    corr = pearson_matrix(_load_returns(_config_from_args(args)), min_overlap=args.min_overlap)
-    tree = build_mst(to_distance(corr))
-    _emit(args.out, export_newick(single_linkage(tree)))
-    if args.ultrametric is not None:
-        dhat = subdominant_ultrametric(tree)
-        _write_text(Path(args.ultrametric), matrix_csv(dhat.assets, dhat.d))
-    return 0
-
-
-def _cmd_census(args: argparse.Namespace) -> int:
-    corr = pearson_matrix(_load_returns(_config_from_args(args)), min_overlap=args.min_overlap)
-    _emit(args.out, _census_line(census(corr)))
+def _cmd_view(args: argparse.Namespace) -> int:
+    """``corr``, ``dist``, ``mst``, ``dendro`` and ``census``: one artifact to ``--out``."""
+    name = f"mst.{args.format}" if args.command == "mst" else args.artifact
+    stages = _run_stages(args, _ARTIFACT_STAGE[name])
+    text = _artifact_text(name, stages)
+    if args.out == "-":
+        sys.stdout.write(text)
+    else:
+        _write_text(Path(args.out), text)
+    if getattr(args, "ultrametric", None) is not None:
+        _write_text(Path(args.ultrametric), _artifact_text("ultrametric.csv", stages))
     return 0
 
 
 def _cmd_dynamics(args: argparse.Namespace) -> int:
-    returns = _load_returns(_config_from_args(args))
+    returns = _run_stages(args, "returns")["returns"]
     sequence = rolling_trees(
         returns, WindowSpec(args.width, args.step), min_overlap=args.min_overlap
     )
-    artifacts = _window_artifacts(Path(args.outdir), sequence, frozenset((args.format,)))
+    for path, text in _window_artifacts(Path(args.outdir), sequence, (args.format,)).items():
+        _write_text(path, text)
+    return 0
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    """Every artifact of ``--formats`` (and the windows) composed in memory, then written.
+
+    A failing stage therefore leaves no partial output. The census
+    record goes to standard output either way.
+    """
+    window = WindowSpec(args.width, args.step) if args.width is not None else None
+    # the whole chain runs for every --formats, so its errors do not depend on them
+    stages = _run_stages(args, "dendrogram")
+    line = _artifact_text("census.json", stages)
+    out = Path(args.outdir)
+    artifacts = {
+        out / name: line if name == "census.json" else _artifact_text(name, stages)
+        for fmt, names in _FORMAT_ARTIFACTS.items()
+        if fmt in args.formats
+        for name in names
+    }
+    if window is not None:
+        sequence = rolling_trees(stages["returns"], window, min_overlap=args.min_overlap)
+        artifacts.update(_window_artifacts(out / "windows", sequence, args.formats))
     for path, text in artifacts.items():
         _write_text(path, text)
+    sys.stdout.write(line)
     return 0
 
 
@@ -233,17 +191,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     )
     dump_panel(panel, args.out, delimiter=args.delimiter, missing_marker=args.missing)
     return 0
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    window = WindowSpec(args.width, args.step) if args.width is not None else None
-    cfg = _config_from_args(
-        args,
-        output_dir=Path(args.outdir),
-        window=window,
-        formats=frozenset(args.formats),
-    )
-    return run_pipeline(cfg)
 
 
 # ------------------------------------------------------------------ parser
@@ -346,18 +293,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corr", help="write the correlation matrix as CSV")
     _add_input_options(p)
     _add_out_option(p, "matrix CSV")
-    p.set_defaults(func=_cmd_corr)
+    p.set_defaults(func=_cmd_view, artifact="corr.csv")
 
     p = sub.add_parser("dist", help="write the distance matrix as CSV")
     _add_input_options(p)
     _add_out_option(p, "matrix CSV")
-    p.set_defaults(func=_cmd_dist)
+    p.set_defaults(func=_cmd_view, artifact="dist.csv")
 
     p = sub.add_parser("mst", help="write the minimal spanning tree")
     _add_input_options(p)
     p.add_argument("--format", choices=("dot", "graphml"), default="dot")
     _add_out_option(p, "graph")
-    p.set_defaults(func=_cmd_mst)
+    p.set_defaults(func=_cmd_view)
 
     p = sub.add_parser("dendro", help="write the single-linkage dendrogram as Newick")
     _add_input_options(p)
@@ -368,12 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the subdominant ultrametric matrix CSV here",
     )
-    p.set_defaults(func=_cmd_dendro)
+    p.set_defaults(func=_cmd_view, artifact="dendrogram.nwk")
 
     p = sub.add_parser("census", help="print correlation-level counts as JSON")
     _add_input_options(p)
     _add_out_option(p, "JSON record")
-    p.set_defaults(func=_cmd_census)
+    p.set_defaults(func=_cmd_view, artifact="census.json")
 
     p = sub.add_parser("dynamics", help="rolling-window trees and edge survival")
     _add_input_options(p)

@@ -22,10 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAssetError, InsufficientDataError, SchemaError
+from .errors import DegenerateAssetError, DomainError, InsufficientDataError, SchemaError
 from .transforms import ReturnsMatrix
 
 STRONG_THRESHOLD = 0.5
+
+_NORMAL = (np.finfo(float).tiny, np.finfo(float).max)  # float64's normal range
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +75,8 @@ def pearson_matrix(returns: ReturnsMatrix, min_overlap: int = 3) -> CorrelationM
 
     Raises
     ------
+    DomainError
+        Some asset's squared deviations overflow float64.
     DegenerateAssetError
         Some asset is constant on an overlap it participates in.
     InsufficientDataError
@@ -81,7 +85,6 @@ def pearson_matrix(returns: ReturnsMatrix, min_overlap: int = 3) -> CorrelationM
     if min_overlap < 2:
         raise ValueError(f"min_overlap must be >= 2, got {min_overlap}")
     obs = returns.observations
-    n = returns.n_assets
     if np.isnan(obs).any():
         rho = _pairwise_complete(returns, min_overlap)
     else:
@@ -95,17 +98,43 @@ def pearson_matrix(returns: ReturnsMatrix, min_overlap: int = 3) -> CorrelationM
     return CorrelationMatrix(returns.assets, rho)
 
 
+def _sqrt_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sqrt(a * b)``, or ``sqrt(a) * sqrt(b)`` where ``a * b`` leaves the normal range.
+
+    The product of two variances over- or underflows long before either
+    variance does; the second form then keeps the ratio it divides exact
+    to rounding, while values in range keep the first form's bytes.
+    """
+    with np.errstate(all="ignore"):
+        root = np.asarray(a * b)
+        outside = root < _NORMAL[0]
+        outside |= root > _NORMAL[1]
+        np.sqrt(root, out=root)
+        if outside.any():
+            root = np.where(outside, np.sqrt(a) * np.sqrt(b), root)
+    return root
+
+
+def _check_spread(returns: ReturnsMatrix, sumsq: np.ndarray) -> None:
+    """Name the first asset whose centred sum of squares is not finite."""
+    bad = np.flatnonzero(~np.isfinite(sumsq))
+    if bad.size:
+        raise DomainError(f"asset {returns.assets[bad[0]]!r}: squared deviations overflow float64")
+
+
 def _full_sample(returns: ReturnsMatrix) -> np.ndarray:
     obs = returns.observations
     t = obs.shape[0]
-    centered = obs - obs.mean(axis=0)
-    centered = centered - centered.mean(axis=0)
-    gram = (centered.T @ centered) / t
+    with np.errstate(all="ignore"):
+        centered = obs - obs.mean(axis=0)
+        centered = centered - centered.mean(axis=0)
+        gram = (centered.T @ centered) / t
     var = np.diag(gram).copy()
+    _check_spread(returns, var)
     for i, v in enumerate(var):
         if v == 0.0:
             raise DegenerateAssetError(f"asset {returns.assets[i]!r} has zero variance")
-    return gram / np.sqrt(np.outer(var, var))
+    return gram / _sqrt_product(var[:, None], var[None, :])
 
 
 def _pairwise_complete(returns: ReturnsMatrix, min_overlap: int) -> np.ndarray:
@@ -133,15 +162,18 @@ def _pairwise_complete(returns: ReturnsMatrix, min_overlap: int) -> np.ndarray:
     present = ~absent
     count = present.sum(axis=0)
     x = np.where(present, obs, 0.0)
-    for _ in range(2):
-        x -= x.sum(axis=0) / np.maximum(count, 1)
-        x[absent] = 0.0
+    with np.errstate(all="ignore"):
+        for _ in range(2):
+            x -= x.sum(axis=0) / np.maximum(count, 1)
+            x[absent] = 0.0
+        sumsq = (x * x).sum(axis=0)
+    _check_spread(returns, sumsq)
 
     # joint[i, j], s[i, j], q[i, j]: count, sum and sum of squares of x_i
     # over the rows where both i and j are present
     joint = np.repeat(count[:, None], n, axis=1)
     s = np.repeat(x.sum(axis=0)[:, None], n, axis=1)
-    q = np.repeat((x * x).sum(axis=0)[:, None], n, axis=1)
+    q = np.repeat(sumsq[:, None], n, axis=1)
     for j in np.flatnonzero(absent.any(axis=0)):
         gone = np.flatnonzero(absent[:, j])
         rows = x[gone]
@@ -158,7 +190,7 @@ def _pairwise_complete(returns: ReturnsMatrix, min_overlap: int) -> np.ndarray:
     with np.errstate(all="ignore"):
         mean = s / joint
         var = q / joint - mean * mean
-        rho = (p / joint - mean * mean.T) / np.sqrt(var * var.T)
+        rho = (p / joint - mean * mean.T) / _sqrt_product(var, var.T)
         unclear = ~(var > 0.5 * q / joint)
     exact = (joint < min_overlap) | unclear | unclear.T
     for i, j in zip(*np.nonzero(np.triu(exact, 1))):
@@ -192,7 +224,7 @@ def _pair_rho(
             raise DegenerateAssetError(
                 f"asset {asset!r} has zero variance on the overlap of pair {pair}"
             )
-        return np.mean(xi * xj) / np.sqrt(vi * vj)
+        return np.mean(xi * xj) / _sqrt_product(vi, vj)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,6 @@ class SchemaError(CorrTreeError):
     """Structural problem: duplicate labels, too few assets, duplicate timestamps."""
 
 
-class AlignmentError(CorrTreeError):
-    """Panels could not be merged onto a common set of timestamps."""
-
-
 class DomainError(CorrTreeError):
     """A value lies outside the mathematical domain of an operation."""
 
@@ -43,10 +39,6 @@ class UnknownAssetError(CorrTreeError):
 
 class SizeError(CorrTreeError):
     """Input has too few (or too many) elements for the operation."""
-
-
-class ShapeError(CorrTreeError):
-    """A matrix argument has the wrong shape."""
 
 
 class ComparisonError(CorrTreeError):

@@ -4,9 +4,9 @@ The single-linkage hierarchy and the minimal spanning tree are one
 object (Gower & Ross 1969): replaying the tree's edges in ascending
 weight joins clusters exactly as single-linkage agglomeration would.
 ``single_linkage`` records those joins as a dendrogram, and
-``subdominant_ultrametric`` is its cophenetic matrix, whose value at a
-pair is the largest edge weight on the tree path between them. Both
-take O(n^2) time.
+``subdominant_ultrametric`` reads that dendrogram's cophenetic matrix,
+whose value at a pair is the largest edge weight on the tree path
+between them. Both take O(n^2) time.
 """
 
 from __future__ import annotations
@@ -112,19 +112,19 @@ def single_linkage(tree: SpanningTree) -> Dendrogram:
     return Dendrogram(labels, tuple(merges))
 
 
-def subdominant_ultrametric(tree: SpanningTree) -> DistanceMatrix:
-    """Max edge weight along the unique tree path between each pair."""
-    return cophenetic_matrix(single_linkage(tree))
+def subdominant_ultrametric(dendrogram: Dendrogram) -> DistanceMatrix:
+    """Cophenetic matrix: the height of the merge that first joins each pair.
 
-
-def cophenetic_matrix(dendrogram: Dendrogram) -> DistanceMatrix:
-    """Merge height at which each leaf pair first joins a common cluster."""
+    For ``single_linkage(tree)`` this is the largest edge weight on the
+    tree path between the pair, the subdominant ultrametric of any
+    distance matrix whose minimal spanning tree ``tree`` is.
+    """
     n = dendrogram.n_leaves
     members = {i: np.array([i]) for i in range(n)}
-    coph = np.zeros((n, n))
+    dhat = np.zeros((n, n))
     for k, m in enumerate(dendrogram.merges):
         left, right = members.pop(m.left), members.pop(m.right)
-        coph[left[:, None], right] = m.height
-        coph[right[:, None], left] = m.height
+        dhat[left[:, None], right] = m.height
+        dhat[right[:, None], left] = m.height
         members[n + k] = np.concatenate((left, right))
-    return DistanceMatrix(dendrogram.leaves, coph)
+    return DistanceMatrix(dendrogram.leaves, dhat)

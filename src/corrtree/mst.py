@@ -60,11 +60,6 @@ class SpanningTree:
     def n_assets(self) -> int:
         return len(self.assets)
 
-    @property
-    def construction_order(self) -> dict[tuple[str, str], int]:
-        """Acceptance rank of each endpoint pair."""
-        return {(e.a, e.b): k for k, e in enumerate(self.edges)}
-
     def edge_set(self) -> frozenset[tuple[str, str]]:
         return frozenset((e.a, e.b) for e in self.edges)
 
@@ -168,15 +163,6 @@ def build_mst(dist: DistanceMatrix) -> SpanningTree:
         a, b = sorted((labels[i[k]], labels[j[k]]))
         edges.append(TreeEdge(a, b, float(weights[k])))
     return SpanningTree(labels, tuple(edges))
-
-
-def tree_degrees(tree: SpanningTree) -> dict[str, int]:
-    """Node degree per asset label; degrees always sum to 2(n-1)."""
-    degrees = {a: 0 for a in tree.assets}
-    for e in tree.edges:
-        degrees[e.a] += 1
-        degrees[e.b] += 1
-    return degrees
 
 
 def spans_connected_subtree(tree: SpanningTree, labels: Iterable[str]) -> bool:

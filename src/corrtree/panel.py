@@ -1,4 +1,4 @@
-"""Panel loading and alignment.
+"""Panel loading and writing.
 
 Input convention
 ----------------
@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, PanelParseError, SchemaError, UnknownAssetError
+from .errors import PanelParseError, SchemaError, UnknownAssetError
 
 Timestamp = int | str
 
@@ -276,37 +276,3 @@ def dump_panel(
         encoding="utf-8",
     )
     return path
-
-
-def align_panels(panels: Sequence[TimeSeriesPanel]) -> TimeSeriesPanel:
-    """Merge panels with disjoint asset sets onto their common timestamps.
-
-    The result keeps assets in input order (panel by panel) and rows on
-    the sorted intersection of all timestamp sets. A single panel passes
-    through unchanged.
-    """
-    if not panels:
-        raise AlignmentError("need at least one panel to align")
-    if len(panels) == 1:
-        return panels[0]
-
-    seen: set[str] = set()
-    for p in panels:
-        overlap = seen.intersection(p.assets)
-        if overlap:
-            raise SchemaError(f"asset label(s) present in more than one panel: {sorted(overlap)}")
-        seen.update(p.assets)
-
-    common = set(panels[0].timestamps)
-    for p in panels[1:]:
-        common &= set(p.timestamps)
-    if not common:
-        raise AlignmentError("panels share no common timestamp")
-    keys = sorted(common)
-
-    blocks = []
-    for p in panels:
-        pos = {t: i for i, t in enumerate(p.timestamps)}
-        blocks.append(p.values[[pos[t] for t in keys], :])
-    assets = tuple(a for p in panels for a in p.assets)
-    return TimeSeriesPanel(assets, tuple(keys), np.hstack(blocks))

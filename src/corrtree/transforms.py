@@ -114,7 +114,8 @@ def zscore(panel: TimeSeriesPanel) -> ReturnsMatrix:
 
     Statistics are taken over present values only; missing cells stay
     missing. Columns with fewer than 2 present values or zero variance
-    raise :class:`DegenerateAssetError`.
+    raise :class:`DegenerateAssetError`, and columns whose squared
+    deviations overflow float64 raise :class:`DomainError`.
     """
     values = panel.values
     present = ~np.isnan(values)
@@ -127,9 +128,12 @@ def zscore(panel: TimeSeriesPanel) -> ReturnsMatrix:
     out = np.full(values.shape, np.nan)
     for i in range(values.shape[1]):
         col = values[present[:, i], i]
-        centered = col - col.mean()
-        centered -= centered.mean()  # second pass kills the cancellation residue
-        sigma = np.sqrt(np.mean(centered**2))
+        with np.errstate(all="ignore"):
+            centered = col - col.mean()
+            centered -= centered.mean()  # second pass kills the cancellation residue
+            sigma = np.sqrt(np.mean(centered**2))
+        if not np.isfinite(sigma):
+            raise DomainError(f"asset {panel.assets[i]!r}: squared deviations overflow float64")
         if sigma == 0.0:
             raise DegenerateAssetError(f"asset {panel.assets[i]!r} has zero variance")
         out[present[:, i], i] = centered / sigma

@@ -25,9 +25,12 @@ def child_env(threads: int | None = None) -> dict[str, str]:
     ``PYTHONPATH`` (inherited entries follow), so the child runs the code
     under test from any working directory, even where the inherited path
     is relative or another ``corrtree`` is installed. ``threads``, when
-    given, pins the BLAS thread count.
+    given, pins the BLAS thread count. ``PYTEST_CURRENT_TEST`` is left
+    out: it holds the running test's id, which can be longer than one
+    environment string may be.
     """
     env = dict(os.environ)
+    env.pop("PYTEST_CURRENT_TEST", None)
     root = str(Path(corrtree.__file__).resolve().parent.parent)
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = root + (os.pathsep + inherited if inherited else "")

@@ -5,29 +5,29 @@ over every candidate pair, exhaustive enumeration of spanning trees
 through their Prufer sequences, agglomeration by a full ``argmin`` over
 the working matrix at each step, a replay of the tree's edges that finds
 each endpoint's cluster by a linear search, a breadth-first walk from
-every root for the ultrametric, the n x n x n triangle scan, row-by-row
-ranking, and the pairwise-complete correlation one pair at a time. They
-are slow and memory-hungry by design; tests compare the vectorised
-kernels with them bit for bit, not within a tolerance, except the
-correlation, whose summation order changed and which is held to 1e-12
-and to identical errors.
+every root for the ultrametric, row-by-row ranking, and the
+pairwise-complete correlation one pair at a time. They are slow and
+memory-hungry by design; tests compare the vectorised kernels with them
+bit for bit, not within a tolerance, except the correlation, whose
+summation order changed and which is held to 1e-12 and to identical
+errors. The metric-axiom check, an n x n x n triangle scan, has no
+library counterpart; the tests use it on data-derived distances.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from corrtree import DistanceMatrix, Dendrogram, Merge, ReturnsMatrix, SpanningTree, TreeEdge
-from corrtree.distance import AxiomViolation
 from corrtree.errors import (
     DegenerateAssetError,
     DomainError,
     InsufficientDataError,
-    ShapeError,
     SizeError,
 )
 from corrtree.mst import _check_offdiag_finite, _UnionFind
@@ -217,13 +217,33 @@ def bfs_ultrametric(tree: SpanningTree) -> DistanceMatrix:
     return DistanceMatrix(labels, dhat)
 
 
+@dataclass(frozen=True)
+class AxiomViolation:
+    """One failed metric-axiom instance.
+
+    ``axiom`` is ``"identity"``, ``"symmetry"`` or ``"triangle"``;
+    ``indices`` holds the offending row/column positions.
+    """
+
+    axiom: str
+    indices: tuple[int, ...]
+    detail: str
+
+
 def metric_axioms_unchunked(
     matrix: DistanceMatrix | np.ndarray, tol: float = 1e-9
 ) -> list[AxiomViolation]:
-    """Metric axiom check over one n x n x n triangle-excess array."""
+    """Report every violation of the three metric axioms, up to ``tol``.
+
+    Checks identity of indiscernibles (zero diagonal, nonzero
+    off-diagonal), symmetry, and the triangle inequality in its
+    non-strict form ``d[i,j] <= d[i,k] + d[k,j]`` (equality is legal for
+    collinear configurations) over one n x n x n triangle-excess array.
+    An empty list means the matrix passed.
+    """
     d = matrix.d if isinstance(matrix, DistanceMatrix) else np.asarray(matrix, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {d.shape}")
+        raise ValueError(f"expected a square matrix, got shape {d.shape}")
     n = d.shape[0]
     violations: list[AxiomViolation] = []
 

@@ -1,0 +1,81 @@
+"""The public surface: exactly these names, each importable."""
+
+import corrtree
+
+PUBLIC = [
+    "ComparisonError",
+    "CorrTreeError",
+    "CorrelationCensus",
+    "CorrelationMatrix",
+    "DegenerateAssetError",
+    "Dendrogram",
+    "DistanceMatrix",
+    "DomainError",
+    "FactorModelSpec",
+    "GeneratorSpecError",
+    "InsufficientDataError",
+    "Merge",
+    "PanelParseError",
+    "ReturnsMatrix",
+    "SIGNAL_KINDS",
+    "STRONG_THRESHOLD",
+    "SchemaError",
+    "SizeError",
+    "SpanningTree",
+    "SplitComparison",
+    "TimeSeriesPanel",
+    "TreeEdge",
+    "TreeSequence",
+    "UnknownAssetError",
+    "WindowSpec",
+    "build_mst",
+    "census",
+    "dump_panel",
+    "edge_survival",
+    "export_dot",
+    "export_graphml",
+    "export_newick",
+    "generate",
+    "load_panel",
+    "log_returns",
+    "matrix_csv",
+    "parse_group_spec",
+    "pearson_matrix",
+    "rank_signal",
+    "raw_signal",
+    "rebase",
+    "rolling_trees",
+    "single_linkage",
+    "spans_connected_subtree",
+    "split_compare",
+    "subdominant_ultrametric",
+    "survival_csv",
+    "to_distance",
+    "zscore",
+]
+
+REMOVED = [
+    "AlignmentError",
+    "AxiomViolation",
+    "ShapeError",
+    "align_panels",
+    "check_metric_axioms",
+    "cophenetic_matrix",
+    "tree_degrees",
+]
+
+
+def test_all_lists_exactly_the_public_names():
+    assert len(PUBLIC) == 49
+    assert sorted(corrtree.__all__) == sorted(PUBLIC)
+
+
+def test_every_public_name_resolves():
+    for name in PUBLIC:
+        assert getattr(corrtree, name) is not None, name
+
+
+def test_removed_names_are_gone():
+    for name in REMOVED:
+        assert not hasattr(corrtree, name), name
+    assert not hasattr(corrtree.SpanningTree, "construction_order")

@@ -1,15 +1,21 @@
 """Command-line behaviour: artifacts, exit codes, stdout contracts."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import corrtree.cli
 from corrtree import census, load_panel, matrix_csv, pearson_matrix, raw_signal
 from corrtree.cli import main
 from helpers import child_env
+from test_panel import fuzz_text
 
 
 def synth_args(path, groups="2x4", length="120", seed="3"):
@@ -34,6 +40,20 @@ def synth_args(path, groups="2x4", length="120", seed="3"):
 def panel_path(tmp_path):
     path = tmp_path / "panel.csv"
     assert main(synth_args(path)) == 0
+    return path
+
+
+@pytest.fixture
+def na_panel_path(tmp_path):
+    """A synth panel with every seventh data row missing one cell."""
+    path = tmp_path / "na_panel.csv"
+    assert main(synth_args(path)) == 0
+    lines = path.read_text().splitlines()
+    for k in range(1, len(lines), 7):
+        cells = lines[k].split(",")
+        cells[1 + k % 8] = "NA"
+        lines[k] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
     return path
 
 
@@ -233,6 +253,133 @@ class TestDynamicsCommand:
         assert first == "0,0,50,"
 
 
+class TestViewsEqualRun:
+    """Each single-artifact subcommand writes the bytes ``run`` writes for that artifact."""
+
+    VIEWS = [
+        (["corr"], "corr.csv"),
+        (["dist"], "dist.csv"),
+        (["mst"], "mst.dot"),
+        (["mst", "--format", "graphml"], "mst.graphml"),
+        (["dendro"], "dendrogram.nwk"),
+        (["census"], "census.json"),
+    ]
+
+    def test_views_equal_run_artifacts(self, na_panel_path, tmp_path, capsys):
+        arts = tmp_path / "arts"
+        assert main(["run", str(na_panel_path), "--signal", "raw", "--outdir", str(arts)]) == 0
+        run_stdout = capsys.readouterr().out
+        assert run_stdout == (arts / "census.json").read_text()
+        for k, (command, artifact) in enumerate(self.VIEWS):
+            out = tmp_path / f"view_{k}"
+            args = [command[0], str(na_panel_path), "--signal", "raw", "--out", str(out)]
+            assert main(args + command[1:]) == 0
+            assert out.read_bytes() == (arts / artifact).read_bytes(), artifact
+        assert capsys.readouterr().out == ""
+        ultra = tmp_path / "u.csv"
+        args = ["dendro", str(na_panel_path), "--signal", "raw", "--ultrametric", str(ultra)]
+        assert main(args) == 0
+        assert capsys.readouterr().out == (arts / "dendrogram.nwk").read_text()
+        assert ultra.read_bytes() == (arts / "ultrametric.csv").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["dot", "graphml"])
+    def test_dynamics_equals_run_windows(self, na_panel_path, tmp_path, fmt):
+        window = ["--signal", "raw", "--width", "30", "--step", "20"]
+        arts, dyn = tmp_path / "arts", tmp_path / "dyn"
+        args = ["run", str(na_panel_path), *window, "--formats", fmt, "--outdir", str(arts)]
+        assert main(args) == 0
+        assert main(["dynamics", str(na_panel_path), *window, "--format", fmt, "--outdir", str(dyn)]) == 0
+        windows = {p.name: p.read_bytes() for p in (arts / "windows").iterdir()}
+        assert {p.name: p.read_bytes() for p in dyn.iterdir()} == windows
+        assert len(windows) == 6
+
+    def test_dynamics_skips_full_sample_correlation(self, na_panel_path, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dynamics computed the full-sample correlation")
+
+        monkeypatch.setattr(corrtree.cli, "pearson_matrix", refuse)
+        args = ["dynamics", str(na_panel_path), "--signal", "raw", "--width", "40",
+                "--outdir", str(tmp_path / "d")]
+        assert main(args) == 0
+
+
+class TestExtremeScale:
+    """Panels far from unit scale: the same correlation, or one error naming the asset."""
+
+    PANEL = "t,A,B\n0,{0},{1}\n1,{1},{2}\n2,{3},{4}\n3,{0},{1}\n"
+
+    def write(self, tmp_path, scale, extra_row=""):
+        values = [f"{v}e{scale}" for v in ("1", "2", "4.1", "3", "5.9")]
+        path = tmp_path / f"scaled_{scale}.csv"
+        path.write_text(self.PANEL.format(*values) + extra_row)
+        return path
+
+    @pytest.mark.parametrize("scale", ["100", "-100"])
+    @pytest.mark.parametrize("extra_row", ["", "4,NA,3\n"], ids=["complete", "missing"])
+    def test_scaled_panel_keeps_correlation(self, tmp_path, capsys, scale, extra_row):
+        rows = []
+        for s in ("0", scale):
+            row = extra_row.replace("3", f"3e{s}") if extra_row else ""
+            assert main(["corr", str(self.write(tmp_path, s, row)), "--signal", "raw"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            rows.append(float(captured.out.splitlines()[1].split(",")[2]))
+        assert abs(rows[0] - 0.9992292869760642) <= 1e-12
+        assert abs(rows[1] - rows[0]) <= 1e-12
+
+    @pytest.mark.parametrize("command", ["corr", "run"])
+    @pytest.mark.parametrize("signal", ["raw", "zscore"])
+    def test_overflowing_panel_names_the_asset(self, tmp_path, capsys, command, signal):
+        path = self.write(tmp_path, "300")
+        args = [command, str(path), "--signal", signal]
+        if command == "run":
+            args += ["--outdir", str(tmp_path / "arts")]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "'A'" in captured.err
+        assert not (tmp_path / "arts").exists()
+
+
+@st.composite
+def numeric_panels(draw):
+    """Small panels of extreme, tiny, ordinary and missing cells."""
+    n = draw(st.integers(2, 4))
+    cell = st.sampled_from(["1e300", "-1e200", "1e-320", "NA", "", "1", "2.5", "-3", "0.75"])
+    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=1, max_size=8))
+    lines = [",".join(["t", *"ABCD"[:n]])]
+    lines += [",".join([str(k), *row]) for k, row in enumerate(rows)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@settings(max_examples=200)
+@given(
+    body=st.one_of(fuzz_text, numeric_panels()),
+    signal=st.sampled_from(["log-return", "raw", "rank", "zscore"]),
+)
+def test_fuzzed_panels_exit_cleanly(body, signal, tmp_path_factory):
+    """Every input subcommand exits 0 in silence or 2 with one error line; never 3."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = tmp / "panel.csv"
+    path.write_bytes(body)
+    for command in ("corr", "dist", "mst", "dendro", "census", "dynamics", "run"):
+        args = [command, str(path), "--signal", signal]
+        if command == "dynamics":
+            args += ["--width", "3", "--outdir", str(tmp / command)]
+        elif command == "run":
+            args += ["--outdir", str(tmp / command)]
+        else:
+            args += ["--out", str(tmp / f"{command}.out")]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(args)
+        message = err.getvalue()
+        clean = code == 0 and message == ""
+        failed = code == 2 and message.startswith("error: ") and message.count("\n") == 1
+        assert clean or failed, (command, code, message)
+
+
 class TestSignalsAndRebase:
     @pytest.mark.parametrize("signal", ["raw", "rank", "zscore"])
     def test_alternative_signals(self, panel_path, signal, capsys):
@@ -310,6 +457,21 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "COMMAND" in capsys.readouterr().out
+
+    def test_child_env_drops_test_id(self):
+        assert "PYTEST_CURRENT_TEST" not in child_env()
+
+    def test_module_entry_point_under_long_test_id(self, tmp_path, monkeypatch):
+        # one environment string may hold at most 128 kB on Linux
+        monkeypatch.setenv("PYTEST_CURRENT_TEST", "x" * 200_000)
+        out = subprocess.run(
+            [sys.executable, "-m", "corrtree", "--help"],
+            cwd=tmp_path,
+            env=child_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0
 
     def test_module_entry_point(self, tmp_path):
         out = subprocess.run(

@@ -11,6 +11,7 @@ from corrtree import (
     CorrelationCensus,
     CorrelationMatrix,
     DegenerateAssetError,
+    DomainError,
     InsufficientDataError,
     SchemaError,
     census,
@@ -205,6 +206,38 @@ class TestMaskedGram:
             got = pearson_matrix(r).rho
         expected = pairwise_complete_loop(r, 3)
         assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+class TestExtremeScale:
+    """Scaling a panel by 10**k leaves its correlations alone, on both paths."""
+
+    @pytest.mark.parametrize("k", [-150, -100, -50, 50, 100, 150])
+    def test_scaled_panels_keep_rho(self, k):
+        rng = np.random.default_rng(700 + k)
+        for m in range(100):
+            y = rng.standard_normal((int(rng.integers(4, 40)), int(rng.integers(2, 8))))
+            if m % 2:
+                y[rng.random(y.shape) < 0.1] = np.nan
+            outcomes = []
+            for values in (y, y * 10.0**k):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        outcomes.append(pearson_matrix(returns(values)).rho)
+                    except (InsufficientDataError, DegenerateAssetError) as exc:
+                        outcomes.append(exc)
+            expected, got = outcomes
+            if isinstance(expected, Exception):
+                assert str(got) == str(expected), (k, m)
+            else:
+                assert np.max(np.abs(got - expected)) <= 1e-12, (k, m)
+
+    def test_overflowing_column_is_named(self):
+        y = np.array([[1.0, 2.0], [2.0, 4.1], [3.0, 5.9], [1.0, 2.0]])
+        y[:, 1] *= 1e300
+        for values in (y, np.vstack([y, [np.nan, 1.0]])):
+            with pytest.raises(DomainError, match="'S01'"):
+                pearson_matrix(returns(values))
 
 
 class TestMatrixValidation:

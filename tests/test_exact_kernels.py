@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import corrtree.distance as distance_module
 from corrtree import (
     Dendrogram,
     DistanceMatrix,
@@ -11,8 +10,6 @@ from corrtree import (
     SpanningTree,
     TimeSeriesPanel,
     build_mst,
-    check_metric_axioms,
-    cophenetic_matrix,
     export_newick,
     rank_signal,
     single_linkage,
@@ -24,7 +21,6 @@ from oracles import (
     bfs_ultrametric,
     kruskal_mst,
     mean_ranks_loop,
-    metric_axioms_unchunked,
     replay_merges,
 )
 
@@ -64,12 +60,11 @@ def assert_kernels_exact(dist: DistanceMatrix) -> None:
     weights = [e.weight for e in tree.edges]
     if len(set(weights)) == len(weights):
         assert dendrogram.merges == agglomerated.merges
-    coph = cophenetic_matrix(dendrogram).d.tobytes()
+    coph = subdominant_ultrametric(dendrogram).d.tobytes()
     # the agglomeration keeps a -0.0 distance as a -0.0 height; the replay
     # writes 0.0, as the ultrametric always has
-    assert coph == (cophenetic_matrix(agglomerated).d + 0.0).tobytes()
+    assert coph == (subdominant_ultrametric(agglomerated).d + 0.0).tobytes()
     assert coph == bfs_ultrametric(tree).d.tobytes()
-    assert subdominant_ultrametric(tree).d.tobytes() == coph
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -92,7 +87,7 @@ def test_ultrametric_ignores_edge_order():
     rng = np.random.default_rng(7)
     tree = build_mst(tied_distance(rng, 12))
     shuffled = SpanningTree(tree.assets, tuple(reversed(tree.edges)))
-    assert np.array_equal(subdominant_ultrametric(shuffled).d, bfs_ultrametric(tree).d)
+    assert np.array_equal(subdominant_ultrametric(single_linkage(shuffled)).d, bfs_ultrametric(tree).d)
 
 
 def test_tied_merges_follow_construction_order():
@@ -150,43 +145,3 @@ def test_rank_signal_matches_row_loop():
         )
         expected = np.array([mean_ranks_loop(row) for row in values])
         assert rank_signal(panel).observations.tobytes() == expected.tobytes()
-
-
-def planted_violations(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Data distances (all <= 2) with one pair at zero and two beyond any detour."""
-    d = random_data_distance(rng, n).d.copy()
-    for value in (0.0, 4.5, 4.5):
-        i, j = rng.choice(n, size=2, replace=False)
-        d[i, j] = d[j, i] = value
-    return d
-
-
-def test_axiom_scan_blocks_match_one_scan():
-    rng = np.random.default_rng(13)
-    # n = 120 spans several row blocks at the default block size
-    for n in (3, 17, 120):
-        d = planted_violations(rng, n)
-        violations = check_metric_axioms(d)
-        assert violations
-        assert violations == metric_axioms_unchunked(d)
-
-
-def test_axiom_scan_one_row_blocks(monkeypatch):
-    monkeypatch.setattr(distance_module, "_TRIANGLE_BLOCK_BYTES", 1)
-    rng = np.random.default_rng(17)
-    for n in (3, 6, 11):
-        d = rng.random((n, n)) * 2.0
-        violations = check_metric_axioms(d)
-        assert violations
-        assert violations == metric_axioms_unchunked(d)
-
-
-def test_axiom_scan_skips_degenerate_triangles():
-    # a negative diagonal makes d[i,j] exceed d[i,i] + d[i,j]; triangles with
-    # k in {i, j} are not triangles and must not be reported
-    rng = np.random.default_rng(19)
-    for n in (3, 9, 120):
-        d = planted_violations(rng, n) - 0.5 * np.eye(n)
-        violations = check_metric_axioms(d)
-        assert violations == metric_axioms_unchunked(d)
-        assert all(len(set(v.indices)) == 3 for v in violations if v.axiom == "triangle")

@@ -12,13 +12,13 @@ from corrtree import (
     SpanningTree,
     TreeEdge,
     build_mst,
-    cophenetic_matrix,
     export_dot,
     export_graphml,
     export_newick,
     matrix_csv,
     rolling_trees,
     single_linkage,
+    subdominant_ultrametric,
     survival_csv,
     to_distance,
     pearson_matrix,
@@ -174,7 +174,7 @@ class TestNewick:
         rng = np.random.default_rng(5)
         dist = random_data_distance(rng, 7)
         dg = single_linkage(build_mst(dist))
-        coph = cophenetic_matrix(dg)
+        coph = subdominant_ultrametric(dg)
         index = {a: i for i, a in enumerate(coph.assets)}
         root = parse_newick(export_newick(dg))
         depths = {}

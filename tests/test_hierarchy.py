@@ -16,7 +16,6 @@ from corrtree import (
     SpanningTree,
     TreeEdge,
     build_mst,
-    cophenetic_matrix,
     single_linkage,
     subdominant_ultrametric,
 )
@@ -50,7 +49,7 @@ class TestSingleLinkage:
         for _ in range(25):
             n = int(rng.integers(3, 12))
             dist = random_data_distance(rng, n)
-            ours = cophenetic_matrix(single_linkage(build_mst(dist))).d
+            ours = subdominant_ultrametric(single_linkage(build_mst(dist))).d
             link = sch.linkage(ssd.squareform(dist.d, checks=False), method="single")
             theirs = ssd.squareform(sch.cophenet(link))
             assert np.max(np.abs(ours - theirs)) <= 1e-12
@@ -78,7 +77,7 @@ class TestSubdominantUltrametric:
                 ("B", "D"): 0.9,
             },
         )
-        dhat = subdominant_ultrametric(build_mst(dist))
+        dhat = subdominant_ultrametric(single_linkage(build_mst(dist)))
         idx = {a: i for i, a in enumerate(dhat.assets)}
         assert dhat.d[idx["A"], idx["B"]] == 0.1
         assert dhat.d[idx["A"], idx["D"]] == 0.5
@@ -88,14 +87,14 @@ class TestSubdominantUltrametric:
         rng = np.random.default_rng(3)
         for _ in range(20):
             dist = random_data_distance(rng, int(rng.integers(3, 10)))
-            dhat = subdominant_ultrametric(build_mst(dist)).d
+            dhat = subdominant_ultrametric(single_linkage(build_mst(dist))).d
             assert np.all(dhat <= dist.d + 1e-12)
 
     def test_strong_triangle_inequality(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             dist = random_data_distance(rng, int(rng.integers(3, 10)))
-            u = subdominant_ultrametric(build_mst(dist)).d
+            u = subdominant_ultrametric(single_linkage(build_mst(dist))).d
             # u[i,j] <= max(u[i,k], u[k,j]) for every k, using symmetry
             lhs = u[:, :, None]
             rhs = np.maximum(u[:, None, :], u[None, :, :])
@@ -105,8 +104,8 @@ class TestSubdominantUltrametric:
         rng = np.random.default_rng(5)
         for _ in range(30):
             dist = random_data_distance(rng, int(rng.integers(3, 12)))
-            dhat = subdominant_ultrametric(build_mst(dist)).d
-            coph = cophenetic_matrix(agglomerate_full_argmin(dist)).d
+            dhat = subdominant_ultrametric(single_linkage(build_mst(dist))).d
+            coph = subdominant_ultrametric(agglomerate_full_argmin(dist)).d
             assert np.max(np.abs(dhat - coph)) <= 1e-12
 
 
@@ -152,6 +151,6 @@ class TestDendrogram:
 def test_gower_ross_equivalence(seed):
     rng = np.random.default_rng(seed)
     dist = random_data_distance(rng, int(rng.integers(3, 9)))
-    dhat = subdominant_ultrametric(build_mst(dist)).d
-    coph = cophenetic_matrix(agglomerate_full_argmin(dist)).d
+    dhat = subdominant_ultrametric(single_linkage(build_mst(dist))).d
+    coph = subdominant_ultrametric(agglomerate_full_argmin(dist)).d
     assert np.max(np.abs(dhat - coph)) <= 1e-12

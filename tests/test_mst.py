@@ -16,7 +16,6 @@ from corrtree import (
     build_mst,
     spans_connected_subtree,
     to_distance,
-    tree_degrees,
 )
 from helpers import corr_from_pairs, random_data_distance
 from oracles import mst_oracle
@@ -51,7 +50,7 @@ class TestBuildMst:
     def test_construction_trace_on_bank_panel(self):
         dist = to_distance(corr_from_pairs(("AXP", "C", "GE", "JPM"), BANK_CORR))
         tree = build_mst(dist)
-        order = tree.construction_order
+        order = {(e.a, e.b): k for k, e in enumerate(tree.edges)}
         assert order[("C", "JPM")] == 0
         assert order[("AXP", "C")] == 1
         assert order[("AXP", "GE")] == 2
@@ -159,7 +158,10 @@ class TestTreeUtilities:
     def test_degree_sum(self):
         rng = np.random.default_rng(7)
         tree = build_mst(random_data_distance(rng, 9))
-        degrees = tree_degrees(tree)
+        degrees = {a: 0 for a in tree.assets}
+        for e in tree.edges:
+            degrees[e.a] += 1
+            degrees[e.b] += 1
         assert sum(degrees.values()) == 2 * (tree.n_assets - 1)
         assert min(degrees.values()) >= 1
 
@@ -185,8 +187,3 @@ class TestTreeUtilities:
         dist = distance_from("AB", {("A", "B"): 1.0})
         with pytest.raises(UnknownAssetError):
             spans_connected_subtree(build_mst(dist), ["A", "Z"])
-
-    def test_construction_order_covers_all_edges(self):
-        rng = np.random.default_rng(8)
-        tree = build_mst(random_data_distance(rng, 6))
-        assert sorted(tree.construction_order.values()) == list(range(5))

@@ -1,4 +1,4 @@
-"""Panel loading, validation, serialization and alignment."""
+"""Panel loading, validation and serialization."""
 
 import contextlib
 
@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrtree import (
-    AlignmentError,
     CorrTreeError,
     PanelParseError,
     SchemaError,
     TimeSeriesPanel,
     UnknownAssetError,
-    align_panels,
     dump_panel,
     load_panel,
 )
@@ -174,36 +172,6 @@ class TestLoad:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_panel(tmp_path / "nope.csv")
-
-
-class TestAlign:
-    def test_intersection_of_timestamps(self):
-        p1 = TimeSeriesPanel(("A", "B"), (1, 2, 3), [[1, 2], [3, 4], [5, 6]])
-        p2 = TimeSeriesPanel(("C", "D"), (2, 3, 4), [[7, 8], [9, 10], [11, 12]])
-        merged = align_panels([p1, p2])
-        assert merged.assets == ("A", "B", "C", "D")
-        assert merged.timestamps == (2, 3)
-        assert merged.values.tolist() == [[3, 4, 7, 8], [5, 6, 9, 10]]
-
-    def test_single_panel_passthrough(self):
-        p1 = TimeSeriesPanel(("A", "B"), (1,), [[1, 2]])
-        assert align_panels([p1]) is p1
-
-    def test_empty_list(self):
-        with pytest.raises(AlignmentError):
-            align_panels([])
-
-    def test_disjoint_timestamps(self):
-        p1 = TimeSeriesPanel(("A", "B"), (1,), [[1, 2]])
-        p2 = TimeSeriesPanel(("C", "D"), (2,), [[3, 4]])
-        with pytest.raises(AlignmentError):
-            align_panels([p1, p2])
-
-    def test_label_collision(self):
-        p1 = TimeSeriesPanel(("A", "B"), (1,), [[1, 2]])
-        p2 = TimeSeriesPanel(("B", "C"), (1,), [[3, 4]])
-        with pytest.raises(SchemaError):
-            align_panels([p1, p2])
 
 
 finite = st.floats(

@@ -129,6 +129,20 @@ class TestZScore:
         with pytest.raises(DegenerateAssetError):
             zscore(panel([[1.0, 1.0], [np.nan, 2.0], [np.nan, 3.0]]))
 
+    @pytest.mark.parametrize("k", [-150, 150])
+    def test_extreme_scale_keeps_scores(self, k):
+        rng = np.random.default_rng(23)
+        y = rng.standard_normal((30, 3))
+        y[rng.random(y.shape) < 0.1] = np.nan
+        expected = zscore(panel(y)).observations
+        got = zscore(panel(y * 10.0**k)).observations
+        assert np.array_equal(np.isnan(got), np.isnan(expected))
+        assert np.nanmax(np.abs(got - expected)) <= 1e-12
+
+    def test_overflowing_column_is_named(self):
+        with pytest.raises(DomainError, match="'S01'"):
+            zscore(panel([[1.0, 1e300], [2.0, -1e300], [3.0, 1e300]]))
+
 
 class TestRebase:
     def fx_panel(self):
