@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAssetError, DomainError, InsufficientDataError, SchemaError
-from .transforms import ReturnsMatrix
+from .transforms import ReturnsMatrix, _unit_scaled
 
 STRONG_THRESHOLD = 0.5
 
@@ -123,7 +123,7 @@ def _check_spread(returns: ReturnsMatrix, sumsq: np.ndarray) -> None:
 
 
 def _full_sample(returns: ReturnsMatrix) -> np.ndarray:
-    obs = returns.observations
+    obs = _unit_scaled(returns.observations)
     t = obs.shape[0]
     with np.errstate(all="ignore"):
         centered = obs - obs.mean(axis=0)
@@ -140,9 +140,10 @@ def _full_sample(returns: ReturnsMatrix) -> np.ndarray:
 def _pairwise_complete(returns: ReturnsMatrix, min_overlap: int) -> np.ndarray:
     """Correlation over each pair's joint rows, as one masked Gram computation.
 
-    Each column is centred twice on its present cells, with 0 in the
-    missing ones; this pre-centring (Chan, Golub & LeVeque 1983) keeps
-    the Gram differences below accurate. For every pair (i, j), the
+    Each column is scaled by :func:`_unit_scaled`, then centred twice on
+    its present cells, with 0 in the missing ones; this pre-centring
+    (Chan, Golub & LeVeque 1983) keeps the Gram differences below
+    accurate. For every pair (i, j), the
     count, sum and sum of squares of x_i over the joint rows are the
     column totals less the rows where j is missing, so their cost follows
     the missing cells. The cross products are summed row by row in time
@@ -161,7 +162,7 @@ def _pairwise_complete(returns: ReturnsMatrix, min_overlap: int) -> np.ndarray:
     absent = np.isnan(obs)
     present = ~absent
     count = present.sum(axis=0)
-    x = np.where(present, obs, 0.0)
+    x = np.where(present, _unit_scaled(obs), 0.0)
     with np.errstate(all="ignore"):
         for _ in range(2):
             x -= x.sum(axis=0) / np.maximum(count, 1)
@@ -211,8 +212,8 @@ def _pair_rho(
             f"pair {pair} has {count} joint observations; need {min_overlap}"
         )
     with np.errstate(all="ignore"):
-        xi = obs[joint, i]
-        xj = obs[joint, j]
+        xi = _unit_scaled(obs[joint, i])
+        xj = _unit_scaled(obs[joint, j])
         xi = xi - xi.mean()
         xi -= xi.mean()
         xj = xj - xj.mean()

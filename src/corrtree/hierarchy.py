@@ -71,21 +71,6 @@ class Dendrogram:
     def n_leaves(self) -> int:
         return len(self.leaves)
 
-    def partition_at(self, height: float) -> list[frozenset[str]]:
-        """Clusters obtained by applying all merges with height <= ``height``.
-
-        Returned blocks are sorted by their smallest member label.
-        """
-        n = len(self.leaves)
-        members: dict[int, set[str]] = {i: {lab} for i, lab in enumerate(self.leaves)}
-        for k, m in enumerate(self.merges):
-            if m.height > height:
-                break
-            merged = members.pop(m.left) | members.pop(m.right)
-            members[n + k] = merged
-        blocks = [frozenset(s) for s in members.values()]
-        return sorted(blocks, key=min)
-
 
 def single_linkage(tree: SpanningTree) -> Dendrogram:
     """Replay the tree's edges in ascending weight as merges.

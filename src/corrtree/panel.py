@@ -3,30 +3,37 @@
 Input convention
 ----------------
 A panel is a delimited UTF-8 text file. The first row is a header naming
-the assets; every following row is one observation. By default the first
-column holds the timestamp and the remaining columns hold one value per
-asset. Timestamps are opaque sortable keys: a column whose cells are all
+the assets; every following row is one observation. The first column
+holds the timestamp and the remaining columns hold one value per asset.
+Timestamps are opaque sortable keys: a column whose cells are all
 integer literals is compared numerically, anything else is compared as
-strings (ISO-8601 dates order correctly this way). Files without a
-timestamp column are loaded with ``has_timestamps=False`` and rows are
-indexed 0..T-1.
+strings (ISO-8601 dates order correctly this way).
 
-Missing values are recorded as NaN internally and never silently filled.
+Missing values are recorded as NaN internally and never silently filled;
+every other cell must parse to a finite float. ``load_panel`` checks each
+row as it reads it, so a file with several faults reports the first one
+in file order, naming its line.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
+import re
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import PanelParseError, SchemaError, UnknownAssetError
 
 Timestamp = int | str
+
+# what errors="surrogateescape" makes of a byte that is not valid UTF-8
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,12 +105,11 @@ class TimeSeriesPanel:
         *,
         delimiter: str = ",",
         missing_marker: str = "NA",
-        index_label: str = "t",
     ) -> str:
         """Serialize back to the delimited input format (floats at full precision)."""
         buf = io.StringIO()
         writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
-        writer.writerow([index_label, *self.assets])
+        writer.writerow(["t", *self.assets])
         for k, ts in enumerate(self.timestamps):
             row: list[str] = [str(ts)]
             for v in self.values[k]:
@@ -127,7 +133,6 @@ def load_panel(
     *,
     delimiter: str = ",",
     missing_markers: Sequence[str] = ("", "NA"),
-    has_timestamps: bool = True,
 ) -> TimeSeriesPanel:
     """Load a delimited file into a :class:`TimeSeriesPanel`.
 
@@ -139,101 +144,77 @@ def load_panel(
         Field separator, default comma.
     missing_markers : sequence of str
         Cell contents (after stripping whitespace) treated as missing.
-    has_timestamps : bool
-        When True (default) the first column is the timestamp key; when
-        False every column is an asset and rows are indexed 0..T-1.
 
     Raises
     ------
     PanelParseError
         Malformed row width, a row the CSV reader rejects (such as a
-        cell past its field size limit), an unparseable value cell or
-        undecodable bytes; the message names the offending line.
+        cell past its field size limit), an unparseable or non-finite
+        value cell, or undecodable bytes; the message names the first
+        offending line in the file.
     SchemaError
         Duplicate asset labels, fewer than two assets, duplicate
         timestamps, or no data rows.
     """
     path = Path(path)
     markers = {m.strip() for m in missing_markers} | {""}
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh, delimiter=delimiter)
-            try:
-                # each row with the file line it ends on; blank lines still count
-                rows = [(reader.line_num, r) for r in reader if r]
-            except csv.Error as exc:
-                raise PanelParseError(f"{path}: line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError:
-        raise _decode_error(path) from None
-    if not rows:
-        raise PanelParseError(f"{path}: empty file")
-
-    header = rows[0][1]
-    labels = [c.strip() for c in (header[1:] if has_timestamps else header)]
-    if any(not lab for lab in labels):
-        raise SchemaError(f"{path}: empty asset label in header")
-    if len(set(labels)) != len(labels):
-        dup = sorted({lab for lab in labels if labels.count(lab) > 1})
-        raise SchemaError(f"{path}: duplicate asset label(s): {dup}")
-    if len(labels) < 2:
-        raise SchemaError(f"{path}: need at least 2 asset columns, got {len(labels)}")
-
     raw_keys: list[str] = []
-    data: list[list[float]] = []
-    marked: list[int] = []  # row-major positions of missing-marker cells
-    width = len(header)
-    for lineno, row in rows[1:]:
-        if len(row) != width:
-            raise PanelParseError(
-                f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
-            )
-        cells = row[1:] if has_timestamps else row
-        if has_timestamps:
-            raw_keys.append(row[0].strip())
-        parsed: list[float] = []
-        for lab, cell in zip(labels, cells):
-            text = cell.strip()
-            if text in markers:
-                marked.append(len(data) * len(labels) + len(parsed))
-                parsed.append(np.nan)
-                continue
-            try:
-                parsed.append(float(text))
-            except ValueError:
-                raise PanelParseError(
-                    f"{path}: line {lineno}: cannot parse {cell!r} for asset {lab!r}"
-                ) from None
-        data.append(parsed)
-    if not data:
+    cells = array("d")  # row-major values, NaN in marker cells
+    append, isfinite = cells.append, math.isfinite  # local names for the per-cell loop
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        reader = csv.reader(_decoded_lines(fh, path), delimiter=delimiter)
+        try:
+            header = next((r for r in reader if r), None)
+            if header is None:
+                raise PanelParseError(f"{path}: empty file")
+            labels = [c.strip() for c in header[1:]]
+            if any(not lab for lab in labels):
+                raise SchemaError(f"{path}: empty asset label in header")
+            if len(set(labels)) != len(labels):
+                dup = sorted({lab for lab in labels if labels.count(lab) > 1})
+                raise SchemaError(f"{path}: duplicate asset label(s): {dup}")
+            if len(labels) < 2:
+                raise SchemaError(f"{path}: need at least 2 asset columns, got {len(labels)}")
+            for row in reader:
+                if not row:
+                    continue
+                where = f"{path}: line {reader.line_num}"  # blank lines still count
+                if len(row) != len(header):
+                    raise PanelParseError(f"{where}: expected {len(header)} fields, got {len(row)}")
+                raw_keys.append(row[0].strip())
+                for lab, cell in zip(labels, row[1:]):
+                    text = cell.strip()
+                    if text in markers:
+                        append(math.nan)
+                        continue
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        raise PanelParseError(f"{where}: cannot parse {cell!r} for asset {lab!r}") from None
+                    if not isfinite(value):  # only marker cells are missing
+                        raise PanelParseError(f"{where}: non-finite value {cell!r} for asset {lab!r}")
+                    append(value)
+        except csv.Error as exc:
+            raise PanelParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not raw_keys:
         raise SchemaError(f"{path}: no data rows")
-    values = np.array(data, dtype=float).reshape(-1)
-    # A parsed 'nan' or 'inf' literal is an error; only marker cells are
-    # missing. With the markers zeroed, min and max are finite exactly when
-    # every other cell is, and a good file allocates nothing for the check.
-    values[marked] = 0.0
-    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
-        k, col = divmod(int(np.flatnonzero(~np.isfinite(values))[0]), len(labels))
-        lineno, row = rows[k + 1]
-        cell = row[col + 1 if has_timestamps else col]
-        raise PanelParseError(
-            f"{path}: line {lineno}: non-finite value {cell!r} for asset {labels[col]!r}"
-        )
-    values[marked] = np.nan
-    values = values.reshape(-1, len(labels))
 
-    keys: list[Timestamp]
-    if has_timestamps:
-        keys = list(_coerce_keys(raw_keys))
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        keys = [keys[i] for i in order]
-        values = values[order]
-        for prev, cur in zip(keys, keys[1:]):
-            if prev == cur:
-                raise SchemaError(f"{path}: duplicate timestamp {cur!r}")
-    else:
-        keys = list(range(len(values)))
-
+    keys = _coerce_keys(raw_keys)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    keys = [keys[i] for i in order]
+    for prev, cur in zip(keys, keys[1:]):
+        if prev == cur:
+            raise SchemaError(f"{path}: duplicate timestamp {cur!r}")
+    values = np.frombuffer(cells).reshape(-1, len(labels))[order]
     return TimeSeriesPanel(tuple(labels), tuple(keys), values)
+
+
+def _decoded_lines(fh: Iterable[str], path: Path) -> Iterator[str]:
+    """Pass the lines of ``fh`` on, raising at the first with undecodable bytes."""
+    for line in fh:
+        if not line.isascii() and _UNDECODABLE.search(line):
+            raise _decode_error(path)
+        yield line
 
 
 def _decode_error(path: Path) -> PanelParseError:
@@ -263,16 +244,10 @@ def dump_panel(
     *,
     delimiter: str = ",",
     missing_marker: str = "NA",
-    index_label: str = "t",
 ) -> Path:
     """Write ``panel`` to ``path`` in the format :func:`load_panel` reads."""
     path = Path(path)
     path.write_text(
-        panel.to_csv(
-            delimiter=delimiter,
-            missing_marker=missing_marker,
-            index_label=index_label,
-        ),
-        encoding="utf-8",
+        panel.to_csv(delimiter=delimiter, missing_marker=missing_marker), encoding="utf-8"
     )
     return path

@@ -52,6 +52,18 @@ class ReturnsMatrix:
         return int(self.observations.shape[0])
 
 
+def _unit_scaled(x: np.ndarray) -> np.ndarray:
+    """``x`` with each column whose largest |x| is below 1/2 scaled up into [1/2, 1).
+
+    The factor is a power of two, so the scaling is exact and leaves
+    correlations and z-scores unchanged; without it the squares of values
+    below about 1e-154 go subnormal and lose their digits. Columns already
+    at or above that range keep their values.
+    """
+    _, exponent = np.frexp(np.fmax.reduce(np.abs(x), axis=0))
+    return np.ldexp(x, -np.minimum(exponent, 0))
+
+
 def log_returns(panel: TimeSeriesPanel) -> ReturnsMatrix:
     """Log-difference each asset column: ``Y[t] = ln P[t+1] - ln P[t]``.
 
@@ -127,7 +139,7 @@ def zscore(panel: TimeSeriesPanel) -> ReturnsMatrix:
             )
     out = np.full(values.shape, np.nan)
     for i in range(values.shape[1]):
-        col = values[present[:, i], i]
+        col = _unit_scaled(values[present[:, i], i])
         with np.errstate(all="ignore"):
             centered = col - col.mean()
             centered -= centered.mean()  # second pass kills the cancellation residue
@@ -147,6 +159,8 @@ def rebase(panel: TimeSeriesPanel, base: str, *, numeraire: str) -> TimeSeriesPa
     ``base`` divides every other column by the base column and appends
     the old numeraire as a new asset quoted at ``1 / P_base``; the base
     column itself is dropped. Rebasing to the numeraire is the identity.
+    A quote that overflows float64 in the new base raises
+    :class:`DomainError` naming its asset and timestamp.
     """
     if base == numeraire:
         return panel
@@ -165,7 +179,15 @@ def rebase(panel: TimeSeriesPanel, base: str, *, numeraire: str) -> TimeSeriesPa
             f"offending value {base_col[t]!r} at timestamp {panel.timestamps[t]!r}"
         )
     keep = [i for i, a in enumerate(panel.assets) if a != base]
-    rebased = panel.values[:, keep] / base_col[:, None]
-    inverse = (1.0 / base_col)[:, None]
     assets = tuple(panel.assets[i] for i in keep) + (numeraire,)
-    return TimeSeriesPanel(assets, panel.timestamps, np.hstack([rebased, inverse]))
+    quotes = np.hstack([panel.values[:, keep], np.ones((panel.n_obs, 1))])
+    with np.errstate(over="ignore"):
+        rebased = quotes / base_col[:, None]
+    overflow = np.argwhere(np.isinf(rebased))
+    if overflow.size:
+        t, i = overflow[0]
+        raise DomainError(
+            f"quote of asset {assets[i]!r} in base {base!r} overflows float64 "
+            f"at timestamp {panel.timestamps[t]!r}"
+        )
+    return TimeSeriesPanel(assets, panel.timestamps, rebased)

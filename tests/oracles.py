@@ -10,27 +10,44 @@ pairwise-complete correlation one pair at a time. They are slow and
 memory-hungry by design; tests compare the vectorised kernels with them
 bit for bit, not within a tolerance, except the correlation, whose
 summation order changed and which is held to 1e-12 and to identical
-errors. The metric-axiom check, an n x n x n triangle scan, has no
-library counterpart; the tests use it on data-derived distances.
+errors. The metric-axiom check, an n x n x n triangle scan, and a
+dendrogram's partition at a height have no library counterpart; the
+tests use them on data-derived distances and trees. The two-pass panel
+loader reads the whole file before it checks any cell; it gives the same
+panel or the same error as the streaming loader on files with at most
+one fault.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from corrtree import DistanceMatrix, Dendrogram, Merge, ReturnsMatrix, SpanningTree, TreeEdge
+from corrtree import (
+    DistanceMatrix,
+    Dendrogram,
+    Merge,
+    ReturnsMatrix,
+    SpanningTree,
+    TimeSeriesPanel,
+    TreeEdge,
+)
 from corrtree.errors import (
     DegenerateAssetError,
     DomainError,
     InsufficientDataError,
+    PanelParseError,
+    SchemaError,
     SizeError,
 )
 from corrtree.mst import _check_offdiag_finite, _UnionFind
+from corrtree.panel import Timestamp, _coerce_keys, _decode_error
 
 ORACLE_MAX_ASSETS = 8
 
@@ -190,6 +207,22 @@ def agglomerate_full_argmin(dist: DistanceMatrix) -> Dendrogram:
     return Dendrogram(dist.assets, tuple(merges))
 
 
+def partition_at(dendrogram: Dendrogram, height: float) -> list[frozenset[str]]:
+    """Clusters obtained by applying all merges with height <= ``height``.
+
+    Returned blocks are sorted by their smallest member label.
+    """
+    n = len(dendrogram.leaves)
+    members: dict[int, set[str]] = {i: {lab} for i, lab in enumerate(dendrogram.leaves)}
+    for k, m in enumerate(dendrogram.merges):
+        if m.height > height:
+            break
+        merged = members.pop(m.left) | members.pop(m.right)
+        members[n + k] = merged
+    blocks = [frozenset(s) for s in members.values()]
+    return sorted(blocks, key=min)
+
+
 def bfs_ultrametric(tree: SpanningTree) -> DistanceMatrix:
     """Max edge weight on each tree path, by a breadth-first walk from every root."""
     labels = tree.assets
@@ -331,3 +364,119 @@ def pairwise_complete_loop(returns: ReturnsMatrix, min_overlap: int) -> np.ndarr
                 )
             rho[i, j] = rho[j, i] = np.mean(xi * xj) / np.sqrt(vi * vj)
     return rho
+
+
+# The panel loader before it streamed its rows: the whole file as a list
+# of rows, then a finiteness check through the positions of marker cells.
+def load_panel_two_pass(
+    path: str | Path,
+    *,
+    delimiter: str = ",",
+    missing_markers: Sequence[str] = ("", "NA"),
+    has_timestamps: bool = True,
+) -> TimeSeriesPanel:
+    """Load a delimited file into a :class:`TimeSeriesPanel`.
+
+    Parameters
+    ----------
+    path : str or Path
+        File to read (UTF-8; a BOM is tolerated).
+    delimiter : str
+        Field separator, default comma.
+    missing_markers : sequence of str
+        Cell contents (after stripping whitespace) treated as missing.
+    has_timestamps : bool
+        When True (default) the first column is the timestamp key; when
+        False every column is an asset and rows are indexed 0..T-1.
+
+    Raises
+    ------
+    PanelParseError
+        Malformed row width, a row the CSV reader rejects (such as a
+        cell past its field size limit), an unparseable value cell or
+        undecodable bytes; the message names the offending line.
+    SchemaError
+        Duplicate asset labels, fewer than two assets, duplicate
+        timestamps, or no data rows.
+    """
+    path = Path(path)
+    markers = {m.strip() for m in missing_markers} | {""}
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            try:
+                # each row with the file line it ends on; blank lines still count
+                rows = [(reader.line_num, r) for r in reader if r]
+            except csv.Error as exc:
+                raise PanelParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise _decode_error(path) from None
+    if not rows:
+        raise PanelParseError(f"{path}: empty file")
+
+    header = rows[0][1]
+    labels = [c.strip() for c in (header[1:] if has_timestamps else header)]
+    if any(not lab for lab in labels):
+        raise SchemaError(f"{path}: empty asset label in header")
+    if len(set(labels)) != len(labels):
+        dup = sorted({lab for lab in labels if labels.count(lab) > 1})
+        raise SchemaError(f"{path}: duplicate asset label(s): {dup}")
+    if len(labels) < 2:
+        raise SchemaError(f"{path}: need at least 2 asset columns, got {len(labels)}")
+
+    raw_keys: list[str] = []
+    data: list[list[float]] = []
+    marked: list[int] = []  # row-major positions of missing-marker cells
+    width = len(header)
+    for lineno, row in rows[1:]:
+        if len(row) != width:
+            raise PanelParseError(
+                f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
+            )
+        cells = row[1:] if has_timestamps else row
+        if has_timestamps:
+            raw_keys.append(row[0].strip())
+        parsed: list[float] = []
+        for lab, cell in zip(labels, cells):
+            text = cell.strip()
+            if text in markers:
+                marked.append(len(data) * len(labels) + len(parsed))
+                parsed.append(np.nan)
+                continue
+            try:
+                parsed.append(float(text))
+            except ValueError:
+                raise PanelParseError(
+                    f"{path}: line {lineno}: cannot parse {cell!r} for asset {lab!r}"
+                ) from None
+        data.append(parsed)
+    if not data:
+        raise SchemaError(f"{path}: no data rows")
+    values = np.array(data, dtype=float).reshape(-1)
+    # A parsed 'nan' or 'inf' literal is an error; only marker cells are
+    # missing. With the markers zeroed, min and max are finite exactly when
+    # every other cell is, and a good file allocates nothing for the check.
+    values[marked] = 0.0
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        k, col = divmod(int(np.flatnonzero(~np.isfinite(values))[0]), len(labels))
+        lineno, row = rows[k + 1]
+        cell = row[col + 1 if has_timestamps else col]
+        raise PanelParseError(
+            f"{path}: line {lineno}: non-finite value {cell!r} for asset {labels[col]!r}"
+        )
+    values[marked] = np.nan
+    values = values.reshape(-1, len(labels))
+
+    keys: list[Timestamp]
+    if has_timestamps:
+        keys = list(_coerce_keys(raw_keys))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        keys = [keys[i] for i in order]
+        values = values[order]
+        for prev, cur in zip(keys, keys[1:]):
+            if prev == cur:
+                raise SchemaError(f"{path}: duplicate timestamp {cur!r}")
+    else:
+        keys = list(range(len(values)))
+
+    return TimeSeriesPanel(tuple(labels), tuple(keys), values)

@@ -79,3 +79,4 @@ def test_removed_names_are_gone():
     for name in REMOVED:
         assert not hasattr(corrtree, name), name
     assert not hasattr(corrtree.SpanningTree, "construction_order")
+    assert not hasattr(corrtree.Dendrogram, "partition_at")

@@ -401,6 +401,15 @@ class TestSignalsAndRebase:
     def test_rebase_unknown_label(self, panel_path):
         assert main(["census", str(panel_path), "--signal", "raw", "--rebase", "XXX"]) == 2
 
+    def test_rebase_overflow_names_the_asset(self, tmp_path, capsys):
+        panel = tmp_path / "fx.csv"
+        panel.write_text("t,A,B,C\n0,1e300,1e-300,1\n1,2e300,2e-300,2\n2,3e300,1e-300,3\n")
+        assert main(["corr", str(panel), "--rebase", "B"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "'A'" in captured.err
+
 
 class TestBadInput:
     """Bad panel bytes exit 2 with one line naming the fault, and nothing else on stderr."""

@@ -25,6 +25,7 @@ from corrtree import (
     WindowSpec,
 )
 from helpers import random_data_distance, returns
+from oracles import partition_at
 
 
 def two_node_tree(weight=0.8):
@@ -162,13 +163,14 @@ class TestNewick:
         acc = []
         leaf_sets(parse_newick(export_newick(dg)), acc)
 
-        n = len(dg.leaves)
-        members = {i: frozenset([dg.leaves[i]]) for i in range(n)}
-        expected = []
-        for k, m in enumerate(dg.merges):
-            members[n + k] = members[m.left] | members[m.right]
-            expected.append(members[n + k])
-        assert sorted(acc, key=sorted) == sorted(expected, key=sorted)
+        # the heights are distinct, so every merge's cluster is a block of
+        # the partition at its height
+        expected = {
+            block for m in dg.merges for block in partition_at(dg, m.height) if len(block) > 1
+        }
+        assert len({m.height for m in dg.merges}) == len(dg.merges)
+        assert len(acc) == len(dg.merges)
+        assert set(acc) == expected
 
     def test_leaf_to_leaf_path_equals_cophenetic(self):
         rng = np.random.default_rng(5)

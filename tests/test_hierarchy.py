@@ -20,7 +20,7 @@ from corrtree import (
     subdominant_ultrametric,
 )
 from helpers import random_data_distance
-from oracles import agglomerate_full_argmin
+from oracles import agglomerate_full_argmin, partition_at
 from test_mst import distance_from
 
 
@@ -115,13 +115,13 @@ class TestDendrogram:
             "ABC", {("A", "B"): 0.2, ("A", "C"): 0.9, ("B", "C"): 0.7}
         )
         dg = single_linkage(build_mst(dist))
-        assert dg.partition_at(0.1) == [
+        assert partition_at(dg, 0.1) == [
             frozenset({"A"}),
             frozenset({"B"}),
             frozenset({"C"}),
         ]
-        assert dg.partition_at(0.2) == [frozenset({"A", "B"}), frozenset({"C"})]
-        assert dg.partition_at(1.0) == [frozenset({"A", "B", "C"})]
+        assert partition_at(dg, 0.2) == [frozenset({"A", "B"}), frozenset({"C"})]
+        assert partition_at(dg, 1.0) == [frozenset({"A", "B", "C"})]
 
     def test_merge_count_enforced(self):
         with pytest.raises(SchemaError):

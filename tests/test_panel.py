@@ -16,6 +16,7 @@ from corrtree import (
     dump_panel,
     load_panel,
 )
+from oracles import load_panel_two_pass
 
 
 def write(tmp_path, text, name="panel.csv"):
@@ -157,12 +158,6 @@ class TestLoad:
         with pytest.raises(SchemaError, match="no data rows"):
             load_panel(path)
 
-    def test_no_timestamp_column(self, tmp_path):
-        path = write(tmp_path, "A,B\n1,2\n3,4\n")
-        p = load_panel(path, has_timestamps=False)
-        assert p.timestamps == (0, 1)
-        assert p.values[1, 1] == 4.0
-
     def test_custom_delimiter(self, tmp_path):
         path = write(tmp_path, "t;A;B\n0;1.5;2\n", name="semi.csv")
         p = load_panel(path, delimiter=";")
@@ -172,6 +167,17 @@ class TestLoad:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_panel(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize(
+        "later",
+        [b"3,5", b"3,5,\xe9", b"3,5,\x006", b"3," + b"1" * 131_100 + b",6"],
+        ids=["short-row", "bad-byte", "nul-byte", "oversized-field"],
+    )
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, later):
+        path = tmp_path / "two-faults.csv"
+        path.write_bytes(b"t,A,B\n0,1,2\n1,inf,2\n2,3,4\n" + later + b"\n")
+        with pytest.raises(PanelParseError, match=r"line 3: non-finite value 'inf' for asset 'A'$"):
+            load_panel(path)
 
 
 finite = st.floats(
@@ -212,3 +218,65 @@ def test_random_file_loads_or_raises_package_error(body, tmp_path_factory):
     path.write_bytes(body)
     with contextlib.suppress(CorrTreeError):
         load_panel(path)
+
+
+def load_outcome(loader, path):
+    """The panel ``loader`` reads from ``path``, or the class and message it raises."""
+    try:
+        return loader(path)
+    except CorrTreeError as exc:
+        return type(exc), str(exc)
+
+
+clean_cell = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["", "NA", " NA ", " 1.5 "]),
+)
+FAULTS = {
+    "short-row": lambda row: row[:-1],
+    "long-row": lambda row: [*row, "1"],
+    "unparseable": lambda row: [*row[:-1], "oops"],
+    "nan": lambda row: [*row[:-1], "nan"],
+    "inf": lambda row: [*row[:-1], " -inf"],
+    "overflow": lambda row: [*row[:-1], "1e999"],
+    "bad-byte": lambda row: [*row[:-1], "\udce9"],
+    "oversized": lambda row: [*row[:-1], "1" * 131_100],
+}
+
+
+@st.composite
+def one_fault_csv(draw):
+    """A well-formed panel file, with at most one fault injected into one row."""
+    n = draw(st.integers(2, 4))
+    keys = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=6, unique=True))
+    rows = [["t", *(f"A{i}" for i in range(n))]]
+    rows += [[str(k), *draw(st.lists(clean_cell, min_size=n, max_size=n))] for k in keys]
+    fault = draw(st.sampled_from([None, *FAULTS]))
+    if fault is not None:
+        k = draw(st.integers(1, len(keys)))
+        rows[k] = FAULTS[fault](rows[k])
+    newline = draw(st.sampled_from(["\n", "\n\n", "\r\n"]))  # "\n\n": a blank line after each row
+    return newline.join(",".join(row) for row in rows).encode("utf-8", "surrogateescape")
+
+
+@settings(max_examples=200)
+@given(body=one_fault_csv())
+def test_streaming_loader_matches_two_pass_oracle(body, tmp_path_factory):
+    path = tmp_path_factory.mktemp("oracle") / "panel.csv"
+    path.write_bytes(body)
+    got = load_outcome(load_panel, path)
+    expected = load_outcome(load_panel_two_pass, path)
+    assert got == expected
+    if isinstance(expected, TimeSeriesPanel):
+        assert got.timestamps == expected.timestamps
+
+
+@settings(max_examples=100)
+@given(body=fuzz_text)
+def test_streaming_loader_loads_what_the_oracle_loads(body, tmp_path_factory):
+    path = tmp_path_factory.mktemp("oracle") / "panel.csv"
+    path.write_bytes(body)
+    expected = load_outcome(load_panel_two_pass, path)
+    if isinstance(expected, TimeSeriesPanel):
+        assert load_panel(path) == expected

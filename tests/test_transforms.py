@@ -129,7 +129,7 @@ class TestZScore:
         with pytest.raises(DegenerateAssetError):
             zscore(panel([[1.0, 1.0], [np.nan, 2.0], [np.nan, 3.0]]))
 
-    @pytest.mark.parametrize("k", [-150, 150])
+    @pytest.mark.parametrize("k", [-170, -150, 150])
     def test_extreme_scale_keeps_scores(self, k):
         rng = np.random.default_rng(23)
         y = rng.standard_normal((30, 3))
@@ -191,6 +191,14 @@ class TestRebase:
     def test_missing_base_quote(self):
         p = TimeSeriesPanel(("EUR", "GBP"), (0,), [[np.nan, 2.0]])
         with pytest.raises(DomainError):
+            rebase(p, "EUR", numeraire="USD")
+
+    @pytest.mark.parametrize(
+        ("row", "asset"), [([1e300, 1e-300], "GBP"), ([1e-300, 5e-324], "USD")]
+    )
+    def test_overflowing_quote_is_named(self, row, asset):
+        p = TimeSeriesPanel(("GBP", "EUR"), (7, 8), [[1.0, 2.0], row])
+        with pytest.raises(DomainError, match=rf"'{asset}' in base 'EUR' .* at timestamp 8$"):
             rebase(p, "EUR", numeraire="USD")
 
     @given(st.integers(0, 2**31 - 1))
