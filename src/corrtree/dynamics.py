@@ -10,11 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .correlation import pearson_matrix
 from .distance import to_distance
 from .errors import ComparisonError, SchemaError, SizeError
-from .mst import SpanningTree, build_mst
+from .mst import SpanningTree, _check_offdiag_finite, _prim_trees, build_mst
 from .transforms import ReturnsMatrix
+
+# Byte budget of the distance-matrix stack one batched tree run takes
+# (16 windows at n = 300); a larger stack saves little time and adds RSS.
+_STACK_BYTES = 12_000_000
 
 
 @dataclass(frozen=True)
@@ -78,7 +84,9 @@ def rolling_trees(
     """One spanning tree per window [k*step, k*step + width).
 
     Window count is floor((T - width) / step) + 1; trailing observations
-    that do not fill a window are dropped.
+    that do not fill a window are dropped. The windows' distance matrices
+    are gathered into a bounded stack (16 windows at n = 300), and each
+    full stack's trees come from one batched Prim run.
     """
     n_obs = returns.observations.shape[0]
     if n_obs < window.width:
@@ -86,6 +94,8 @@ def rolling_trees(
             f"window width {window.width} exceeds series length {n_obs}"
         )
     count = (n_obs - window.width) // window.step + 1
+    n = returns.n_assets
+    stack = np.empty((min(count, max(1, _STACK_BYTES // (8 * n * n))), n, n))
     spans: list[tuple[int, int]] = []
     trees: list[SpanningTree] = []
     for k in range(count):
@@ -94,8 +104,12 @@ def rolling_trees(
         sub = ReturnsMatrix(
             returns.assets, returns.observations[start:end], returns.kind
         )
-        corr = pearson_matrix(sub, min_overlap=min_overlap)
-        trees.append(build_mst(to_distance(corr)))
+        dist = to_distance(pearson_matrix(sub, min_overlap=min_overlap))
+        _check_offdiag_finite(dist)
+        filled = k % len(stack)
+        stack[filled] = dist.d
+        if filled == len(stack) - 1 or k == count - 1:
+            trees += _prim_trees(returns.assets, stack[: filled + 1])
         spans.append((start, end))
     return TreeSequence(returns.assets, tuple(spans), tuple(trees))
 

@@ -11,13 +11,33 @@ from __future__ import annotations
 import csv
 import io
 from typing import Sequence
-from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
 from .dynamics import TreeSequence
 from .hierarchy import Dendrogram
 from .mst import SpanningTree
+
+
+# xml.sax.saxutils' rules, without the import: it pulls in urllib and email
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_XML_ATTR = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"}
+)
+
+
+def _escape(text: str) -> str:
+    return text.translate(_XML_TEXT)
+
+
+def _quoteattr(text: str) -> str:
+    """The attribute quoted with '"', or with "'" when only that avoids escaping."""
+    text = text.translate(_XML_ATTR)
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
 
 
 def _dot_quote(label: str) -> str:
@@ -46,10 +66,10 @@ def export_graphml(tree: SpanningTree) -> str:
         '  <graph id="mst" edgedefault="undirected">',
     ]
     for label in sorted(tree.assets):
-        lines.append(f"    <node id={quoteattr(label)}/>")
+        lines.append(f"    <node id={_quoteattr(label)}/>")
     for e in tree.edges:
-        lines.append(f"    <edge source={quoteattr(e.a)} target={quoteattr(e.b)}>")
-        lines.append(f'      <data key="w">{escape(repr(float(e.weight)))}</data>')
+        lines.append(f"    <edge source={_quoteattr(e.a)} target={_quoteattr(e.b)}>")
+        lines.append(f'      <data key="w">{_escape(repr(float(e.weight)))}</data>')
         lines.append("    </edge>")
     lines.append("  </graph>")
     lines.append("</graphml>")

@@ -1,10 +1,12 @@
 """Minimal spanning trees over asset distance matrices.
 
 ``build_mst`` is Prim's algorithm over the dense matrix, O(n^2) time and
-O(n) scratch memory. Edges are compared by the strict total order
-(distance, smaller label, larger label), under which the minimal
-spanning tree is unique; the accepted edges are then sorted by that key,
-which is exactly the order in which greedy shortest-edge-first
+O(n) scratch memory. The same kernel runs on a stack of matrices at
+once, one Prim step across every matrix per iteration, which is how
+rolling windows build their trees. Edges are compared by the strict
+total order (distance, smaller label, larger label), under which the
+minimal spanning tree is unique; the accepted edges are then sorted by
+that key, which is exactly the order in which greedy shortest-edge-first
 construction (Kruskal) would accept them.
 """
 
@@ -101,7 +103,7 @@ def _check_offdiag_finite(dist: DistanceMatrix) -> None:
     if bad.size:
         i, j = bad[0]
         raise DomainError(
-            f"non-finite distance {d[i, j]!r} between "
+            f"non-finite distance {float(d[i, j])!r} between "
             f"{dist.assets[i]!r} and {dist.assets[j]!r}"
         )
 
@@ -118,51 +120,78 @@ def build_mst(dist: DistanceMatrix) -> SpanningTree:
     if n < 2:
         raise SizeError(f"need at least 2 assets to build a tree, got {n}")
     _check_offdiag_finite(dist)
+    return _prim_trees(dist.assets, dist.d[None])[0]
 
-    labels = dist.assets
-    d = dist.d
+
+def _prim_trees(labels: tuple[str, ...], stack: np.ndarray) -> list[SpanningTree]:
+    """The spanning tree of each matrix in a (W, n, n) stack over shared labels.
+
+    Each matrix must be a valid distance matrix with finite off-diagonal
+    entries; :func:`build_mst` is the one-matrix case.
+    """
+    n = len(labels)
     lexrank = np.empty(n, dtype=np.int64)
     lexrank[sorted(range(n), key=labels.__getitem__)] = np.arange(n)
-
-    def pair_key(u: np.ndarray | int, v: np.ndarray) -> np.ndarray:
-        # (smaller lex-rank, larger lex-rank) folded into one integer
-        ru, rv = lexrank[u], lexrank[v]
-        return np.minimum(ru, rv) * n + np.maximum(ru, rv)
-
-    # Vertices outside the tree, kept compact by swap-removal, with the
-    # weight and tree endpoint of each one's best edge into the tree.
-    outside = np.arange(1, n)
-    best_w = d[0, 1:].copy()
-    best_from = np.zeros(n - 1, dtype=np.intp)
-    heads = np.empty(n - 1, dtype=np.intp)
-    tails = np.empty(n - 1, dtype=np.intp)
-    for last in range(n - 2, -1, -1):  # outside[: last + 1] are still outside
-        w = best_w[: last + 1]
-        k = int(np.argmin(w))
-        ties = np.flatnonzero(w == w[k])
-        if ties.size > 1:
-            k = int(ties[np.argmin(pair_key(best_from[ties], outside[ties]))])
-        u = int(outside[k])
-        heads[last], tails[last] = best_from[k], u
-        outside[k], best_w[k], best_from[k] = outside[last], best_w[last], best_from[last]
-        out, w, src = outside[:last], best_w[:last], best_from[:last]
-        row = d[u, out]
-        better = row < w
-        equal = np.flatnonzero(row == w)
-        if equal.size:
-            v = out[equal]
-            better[equal[pair_key(u, v) < pair_key(src[equal], v)]] = True
-        np.copyto(w, row, where=better)
-        src[better] = u
-
+    heads, tails = _prim(stack, lexrank)
     i, j = np.minimum(heads, tails), np.maximum(heads, tails)
-    weights = d[i, j]
-    order = np.lexsort((pair_key(i, j), weights))
-    edges: list[TreeEdge] = []
-    for k in order:
-        a, b = sorted((labels[i[k]], labels[j[k]]))
-        edges.append(TreeEdge(a, b, float(weights[k])))
-    return SpanningTree(labels, tuple(edges))
+    weights = stack[np.arange(len(stack))[:, None], i, j]
+    order = np.lexsort((_pair_key(lexrank, i, j), weights), axis=-1)
+    i, j, weights = (np.take_along_axis(a, order, axis=-1) for a in (i, j, weights))
+    first = np.where(lexrank[i] < lexrank[j], i, j)  # the endpoint whose label sorts first
+    name = labels.__getitem__
+    return [
+        SpanningTree(labels, tuple(map(TreeEdge, map(name, a), map(name, b), w)))
+        for a, b, w in zip(first.tolist(), (i + j - first).tolist(), weights.tolist())
+    ]
+
+
+def _pair_key(lexrank: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # (smaller lex-rank, larger lex-rank) folded into one integer
+    ru, rv = lexrank[u], lexrank[v]
+    return np.minimum(ru, rv) * len(lexrank) + np.maximum(ru, rv)
+
+
+def _prim(stack: np.ndarray, lexrank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prim's algorithm on every matrix of a (W, n, n) stack in lockstep.
+
+    Each step picks, in every window, the outside vertex with the least
+    (weight, pair key) edge into the tree, then lowers the best edges of
+    the remaining outside vertices under the same key. Returns the
+    (tree endpoint, new vertex) index pairs, each of shape (W, n - 1).
+    """
+    n_win, n = stack.shape[:2]
+    win = np.arange(n_win)
+    vertices = np.arange(n)
+    # Per window: which vertices are outside the tree, and the weight and
+    # tree endpoint of each outside vertex's best edge (inf once inside).
+    outside = np.ones((n_win, n), dtype=bool)
+    outside[:, 0] = False
+    best_w = stack[:, 0, :].copy()
+    best_w[:, 0] = np.inf
+    best_from = np.zeros((n_win, n), dtype=np.intp)
+    heads = np.empty((n_win, n - 1), dtype=np.intp)
+    tails = np.empty((n_win, n - 1), dtype=np.intp)
+    for step in range(n - 1):
+        pick = best_w.argmin(axis=1)
+        ties = best_w == best_w[win, pick][:, None]
+        if np.count_nonzero(ties) > n_win:
+            tied = np.flatnonzero(np.count_nonzero(ties, axis=1) > 1)
+            keys = np.where(ties[tied], _pair_key(lexrank, best_from[tied], vertices), n * n)
+            pick[tied] = keys.argmin(axis=1)
+        heads[:, step], tails[:, step] = best_from[win, pick], pick
+        outside[win, pick] = False
+        best_w[win, pick] = np.inf
+        row = stack[win, pick]
+        better = row < best_w
+        better &= outside
+        equal = row == best_w  # never true inside the tree: rows are finite
+        if equal.any():
+            w, v = np.nonzero(equal)
+            won = _pair_key(lexrank, pick[w], v) < _pair_key(lexrank, best_from[w, v], v)
+            better[w[won], v[won]] = True
+        np.copyto(best_w, row, where=better)
+        np.copyto(best_from, pick[:, None], where=better)
+    return heads, tails
 
 
 def spans_connected_subtree(tree: SpanningTree, labels: Iterable[str]) -> bool:

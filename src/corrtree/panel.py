@@ -158,6 +158,7 @@ def load_panel(
     """
     path = Path(path)
     markers = {m.strip() for m in missing_markers} | {""}
+    whole_rows = not any(map(_parses_as_float, markers))
     raw_keys: list[str] = []
     cells = array("d")  # row-major values, NaN in marker cells
     append, isfinite = cells.append, math.isfinite  # local names for the per-cell loop
@@ -182,7 +183,19 @@ def load_panel(
                 if len(row) != len(header):
                     raise PanelParseError(f"{where}: expected {len(header)} fields, got {len(row)}")
                 raw_keys.append(row[0].strip())
-                for lab, cell in zip(labels, row[1:]):
+                if whole_rows:
+                    # No marker parses as a float, and float() strips no more
+                    # than str.strip(): a row it parses whole, to a finite sum,
+                    # reads as the cell loop would read it.
+                    try:
+                        parsed = list(map(float, row[1:]))
+                    except ValueError:
+                        pass
+                    else:
+                        if isfinite(sum(parsed)):
+                            cells.fromlist(parsed)
+                            continue
+                for lab, cell in zip(labels, row[1:]):  # markers, faults, overflowing sums
                     text = cell.strip()
                     if text in markers:
                         append(math.nan)
@@ -207,6 +220,14 @@ def load_panel(
             raise SchemaError(f"{path}: duplicate timestamp {cur!r}")
     values = np.frombuffer(cells).reshape(-1, len(labels))[order]
     return TimeSeriesPanel(tuple(labels), tuple(keys), values)
+
+
+def _parses_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _decoded_lines(fh: Iterable[str], path: Path) -> Iterator[str]:

@@ -78,7 +78,7 @@ def log_returns(panel: TimeSeriesPanel) -> ReturnsMatrix:
     if bad.size:
         t, i = bad[0]
         raise DomainError(
-            f"non-positive value {values[t, i]!r} for asset {panel.assets[i]!r} "
+            f"non-positive value {float(values[t, i])!r} for asset {panel.assets[i]!r} "
             f"at timestamp {panel.timestamps[t]!r}"
         )
     logs = np.log(values)
@@ -176,7 +176,7 @@ def rebase(panel: TimeSeriesPanel, base: str, *, numeraire: str) -> TimeSeriesPa
         t = int(bad[0][0])
         raise DomainError(
             f"base column {base!r} must be present and positive; "
-            f"offending value {base_col[t]!r} at timestamp {panel.timestamps[t]!r}"
+            f"offending value {float(base_col[t])!r} at timestamp {panel.timestamps[t]!r}"
         )
     keep = [i for i, a in enumerate(panel.assets) if a != base]
     assets = tuple(panel.assets[i] for i in keep) + (numeraire,)

@@ -1,9 +1,10 @@
 """Reference implementations the shipped kernels are held to exactly.
 
 These are the straightforward forms of the library's kernels: Kruskal
-over every candidate pair, exhaustive enumeration of spanning trees
-through their Prufer sequences, agglomeration by a full ``argmin`` over
-the working matrix at each step, a replay of the tree's edges that finds
+over every candidate pair, Prim on one matrix at a time (alone and per
+rolling window), exhaustive enumeration of spanning trees through their
+Prufer sequences, agglomeration by a full ``argmin`` over the working
+matrix at each step, a replay of the tree's edges that finds
 each endpoint's cluster by a linear search, a breadth-first walk from
 every root for the ultrametric, row-by-row ranking, and the
 pairwise-complete correlation one pair at a time. They are slow and
@@ -37,6 +38,10 @@ from corrtree import (
     SpanningTree,
     TimeSeriesPanel,
     TreeEdge,
+    TreeSequence,
+    WindowSpec,
+    pearson_matrix,
+    to_distance,
 )
 from corrtree.errors import (
     DegenerateAssetError,
@@ -79,6 +84,96 @@ def kruskal_mst(dist: DistanceMatrix) -> SpanningTree:
             if len(edges) == n - 1:
                 break
     return SpanningTree(labels, tuple(edges))
+
+
+# The tree kernel before it ran on stacks: Prim on one matrix, the
+# vertices outside the tree kept compact by swap-removal.
+def prim_mst_compacted(dist: DistanceMatrix) -> SpanningTree:
+    """Greedy shortest-edge-first spanning tree construction.
+
+    Candidate edges are ordered by (distance, smaller label, larger
+    label); the edges come out in the order a shortest-edge-first scan
+    that skips edges closing a cycle would accept them. Output is
+    deterministic for identical input bytes.
+    """
+    n = dist.n_assets
+    if n < 2:
+        raise SizeError(f"need at least 2 assets to build a tree, got {n}")
+    _check_offdiag_finite(dist)
+
+    labels = dist.assets
+    d = dist.d
+    lexrank = np.empty(n, dtype=np.int64)
+    lexrank[sorted(range(n), key=labels.__getitem__)] = np.arange(n)
+
+    def pair_key(u: np.ndarray | int, v: np.ndarray) -> np.ndarray:
+        # (smaller lex-rank, larger lex-rank) folded into one integer
+        ru, rv = lexrank[u], lexrank[v]
+        return np.minimum(ru, rv) * n + np.maximum(ru, rv)
+
+    # Vertices outside the tree, kept compact by swap-removal, with the
+    # weight and tree endpoint of each one's best edge into the tree.
+    outside = np.arange(1, n)
+    best_w = d[0, 1:].copy()
+    best_from = np.zeros(n - 1, dtype=np.intp)
+    heads = np.empty(n - 1, dtype=np.intp)
+    tails = np.empty(n - 1, dtype=np.intp)
+    for last in range(n - 2, -1, -1):  # outside[: last + 1] are still outside
+        w = best_w[: last + 1]
+        k = int(np.argmin(w))
+        ties = np.flatnonzero(w == w[k])
+        if ties.size > 1:
+            k = int(ties[np.argmin(pair_key(best_from[ties], outside[ties]))])
+        u = int(outside[k])
+        heads[last], tails[last] = best_from[k], u
+        outside[k], best_w[k], best_from[k] = outside[last], best_w[last], best_from[last]
+        out, w, src = outside[:last], best_w[:last], best_from[:last]
+        row = d[u, out]
+        better = row < w
+        equal = np.flatnonzero(row == w)
+        if equal.size:
+            v = out[equal]
+            better[equal[pair_key(u, v) < pair_key(src[equal], v)]] = True
+        np.copyto(w, row, where=better)
+        src[better] = u
+
+    i, j = np.minimum(heads, tails), np.maximum(heads, tails)
+    weights = d[i, j]
+    order = np.lexsort((pair_key(i, j), weights))
+    edges: list[TreeEdge] = []
+    for k in order:
+        a, b = sorted((labels[i[k]], labels[j[k]]))
+        edges.append(TreeEdge(a, b, float(weights[k])))
+    return SpanningTree(labels, tuple(edges))
+
+
+# Rolling windows before they were batched: one tree built per window.
+def rolling_trees_loop(
+    returns: ReturnsMatrix, window: WindowSpec, *, min_overlap: int = 3
+) -> TreeSequence:
+    """One spanning tree per window [k*step, k*step + width).
+
+    Window count is floor((T - width) / step) + 1; trailing observations
+    that do not fill a window are dropped.
+    """
+    n_obs = returns.observations.shape[0]
+    if n_obs < window.width:
+        raise SizeError(
+            f"window width {window.width} exceeds series length {n_obs}"
+        )
+    count = (n_obs - window.width) // window.step + 1
+    spans: list[tuple[int, int]] = []
+    trees: list[SpanningTree] = []
+    for k in range(count):
+        start = k * window.step
+        end = start + window.width
+        sub = ReturnsMatrix(
+            returns.assets, returns.observations[start:end], returns.kind
+        )
+        corr = pearson_matrix(sub, min_overlap=min_overlap)
+        trees.append(prim_mst_compacted(to_distance(corr)))
+        spans.append((start, end))
+    return TreeSequence(returns.assets, tuple(spans), tuple(trees))
 
 
 def _decode_prufer(seq: Iterable[int], n: int) -> list[tuple[int, int]]:

@@ -1,5 +1,9 @@
 """The public surface: exactly these names, each importable."""
 
+import importlib
+import importlib.util
+from pathlib import Path
+
 import corrtree
 
 PUBLIC = [
@@ -80,3 +84,19 @@ def test_removed_names_are_gone():
         assert not hasattr(corrtree, name), name
     assert not hasattr(corrtree.SpanningTree, "construction_order")
     assert not hasattr(corrtree.Dendrogram, "partition_at")
+
+
+def test_benchmark_hooks_resolve():
+    """Every library name the benchmark's tracer wraps still exists and is callable."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.HOOKS
+    for targets in tracer.HOOKS.values():
+        for module_name, attr in targets:
+            module = importlib.import_module(module_name)
+            if attr == tracer.SIGNALS:
+                assert module._SIGNALS and all(map(callable, module._SIGNALS.values()))
+            else:
+                assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"

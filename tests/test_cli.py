@@ -443,6 +443,27 @@ class TestBadInput:
         assert out.stderr == f"error: {panel}: {message}\n"
         assert not (tmp_path / "arts").exists()
 
+    @pytest.mark.parametrize(
+        ("args", "message"),
+        [
+            pytest.param(
+                ["corr"], "non-positive value -2.0 for asset 'B' at timestamp 1", id="log-return"
+            ),
+            pytest.param(
+                ["corr", "--rebase", "B"],
+                "base column 'B' must be present and positive; offending value -2.0 at timestamp 1",
+                id="rebase",
+            ),
+        ],
+    )
+    def test_transform_message_shows_plain_number(self, tmp_path, capsys, args, message):
+        panel = tmp_path / "prices.csv"
+        panel.write_text("t,A,B\n0,1,2\n1,2,-2\n2,3,4\n")
+        assert main([args[0], str(panel), *args[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestUsage:
     def test_no_arguments(self, capsys):

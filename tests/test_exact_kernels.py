@@ -4,24 +4,33 @@ import numpy as np
 import pytest
 
 from corrtree import (
+    CorrTreeError,
     Dendrogram,
     DistanceMatrix,
     Merge,
+    ReturnsMatrix,
     SpanningTree,
     TimeSeriesPanel,
+    WindowSpec,
     build_mst,
     export_newick,
     rank_signal,
+    rolling_trees,
     single_linkage,
     subdominant_ultrametric,
 )
-from helpers import random_data_distance
+from corrtree import dynamics
+from corrtree.mst import _prim_trees
+from helpers import random_data_distance, returns
+import oracles
 from oracles import (
     agglomerate_full_argmin,
     bfs_ultrametric,
     kruskal_mst,
     mean_ranks_loop,
+    prim_mst_compacted,
     replay_merges,
+    rolling_trees_loop,
 )
 
 
@@ -145,3 +154,102 @@ def test_rank_signal_matches_row_loop():
         )
         expected = np.array([mean_ranks_loop(row) for row in values])
         assert rank_signal(panel).observations.tobytes() == expected.tobytes()
+
+
+def tree_bytes(tree: SpanningTree) -> tuple:
+    """The edges with their weights' bytes, so a -0.0 weight differs from 0.0."""
+    return tree.edges, np.array([e.weight for e in tree.edges]).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_kernel_matches_per_matrix_oracles(seed):
+    rng = np.random.default_rng(300 + seed)
+    for count in (1, 2, 3, 5, 8) * 20:
+        n = int(rng.integers(2, 14))
+        labels = tied_distance(rng, n).assets
+        # tied and untied windows alternate, all over the same labels
+        stack = np.stack([
+            (tied_distance(rng, n) if k % 2 == 0 else random_data_distance(rng, n)).d
+            for k in range(count)
+        ])
+        trees = _prim_trees(labels, stack)
+        assert len(trees) == count
+        for tree, d in zip(trees, stack):
+            dist = DistanceMatrix(labels, d)
+            assert tree_bytes(tree) == tree_bytes(prim_mst_compacted(dist))
+            assert tree_bytes(tree) == tree_bytes(kruskal_mst(dist))
+
+
+def tied_returns(rng: np.random.Generator, n_obs: int, n: int) -> ReturnsMatrix:
+    """Gaussian returns whose first half copies one column into two others.
+
+    Windows in the first half hold zero distances and equal distances
+    from the copies to every other asset; the rest are untied. Labels
+    sort against column order, so the label tie-break decides.
+    """
+    y = rng.standard_normal((n_obs, n))
+    y[: n_obs // 2, n - 2 :] = y[: n_obs // 2, :1]
+    return ReturnsMatrix(tuple(f"A{n - k}" for k in range(n)), y, "raw")
+
+
+def window_bytes(n: int) -> int:
+    return 8 * n * n
+
+
+def assert_rolling_matches_loop(r, window):
+    got, expected = rolling_trees(r, window), rolling_trees_loop(r, window)
+    assert got.windows == expected.windows
+    assert [tree_bytes(t) for t in got.trees] == [tree_bytes(t) for t in expected.trees]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 7])  # 1, chunk - 1, chunk, chunk + 1, 2 chunk + 1
+def test_rolling_chunks_match_per_window_loop(count, monkeypatch):
+    rng = np.random.default_rng(40 + count)
+    n, width, step = 7, 6, 3
+    r = tied_returns(rng, width + (count - 1) * step, n)
+    assert_rolling_matches_loop(r, WindowSpec(width, step))  # one stack at the default budget
+    monkeypatch.setattr(dynamics, "_STACK_BYTES", 3 * window_bytes(n) + window_bytes(n) // 2)
+    assert_rolling_matches_loop(r, WindowSpec(width, step))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 100])
+def test_rolling_error_in_middle_window_matches_loop(chunk, monkeypatch):
+    rng = np.random.default_rng(9)
+    y = rng.standard_normal((25, 5))
+    y[10:15, 3] = 1.5  # zero variance in window 2 of 5
+    r = returns(y)
+    monkeypatch.setattr(dynamics, "_STACK_BYTES", chunk * window_bytes(5))
+    outcomes = []
+    for build in (rolling_trees, rolling_trees_loop):
+        with pytest.raises(CorrTreeError) as info:
+            build(r, WindowSpec(5, 5))
+        outcomes.append((type(info.value), str(info.value)))
+    assert outcomes[0] == outcomes[1]
+    assert "zero variance" in outcomes[0][1]
+
+
+def test_rolling_nonfinite_distance_in_middle_window_matches_loop(monkeypatch):
+    def poison_third_window(real):
+        calls = []
+
+        def to_distance(corr):
+            dist = real(corr)
+            calls.append(dist)
+            if len(calls) != 3:
+                return dist
+            d = dist.d.copy()
+            d[0, 2] = d[2, 0] = np.inf
+            return DistanceMatrix(dist.assets, d)
+
+        return to_distance
+
+    r = returns(np.random.default_rng(10).standard_normal((25, 5)))
+    monkeypatch.setattr(dynamics, "_STACK_BYTES", 2 * window_bytes(5))
+    outcomes = []
+    for module, build in ((dynamics, rolling_trees), (oracles, rolling_trees_loop)):
+        monkeypatch.setattr(module, "to_distance", poison_third_window(module.to_distance))
+        with pytest.raises(CorrTreeError) as info:
+            build(r, WindowSpec(5, 5))
+        outcomes.append((type(info.value), str(info.value)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] == "non-finite distance inf between 'S00' and 'S02'"

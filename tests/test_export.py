@@ -91,6 +91,32 @@ class TestGraphml:
         assert "&amp;" in text and "<node id=\"A&amp;&lt;&gt;\"/>" in text
         ET.fromstring(text)  # well-formed
 
+    def test_escaping_matches_saxutils(self):
+        from itertools import product
+        from xml.sax.saxutils import escape, quoteattr
+
+        from corrtree.export import _escape, _quoteattr
+
+        specials = "&<>\"'\n\r\t"
+        texts = ["", "plain", "é€", "&amp;", "&#10;"]
+        texts += ["".join(p) for k in (1, 2, 3) for p in product(specials + "x", repeat=k)]
+        for text in texts:
+            assert _escape(text) == escape(text), text
+            assert _quoteattr(text) == quoteattr(text), text
+
+    def test_special_labels_golden(self):
+        from xml.sax.saxutils import quoteattr
+
+        labels = ("A&B", "<C>", 'say "hi"', "it's", 'both "\'', "tab\tnew\nret\r")
+        edges = tuple(TreeEdge(*sorted((a, b)), 0.5) for a, b in zip(labels, labels[1:]))
+        text = export_graphml(SpanningTree(labels, edges))
+        nodes = [line for line in text.splitlines() if line.startswith("    <node ")]
+        assert nodes == [f"    <node id={quoteattr(label)}/>" for label in sorted(labels)]
+        assert f"<edge source={quoteattr(edges[0].a)} target={quoteattr(edges[0].b)}>" in text
+        parsed = ET.fromstring(text)
+        ns = "{http://graphml.graphdrawing.org/xmlns}"
+        assert [node.get("id") for node in parsed.iter(ns + "node")] == sorted(labels)
+
 
 def parse_newick(text):
     """Minimal reader for the emitted subset: ``(a:1,b:2):0.0;``."""

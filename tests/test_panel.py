@@ -1,6 +1,7 @@
 """Panel loading, validation and serialization."""
 
 import contextlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -84,6 +85,21 @@ class TestLoad:
         path = write(tmp_path, "t,A,B\n0,1.0,?\n")
         p = load_panel(path, missing_markers=("?",))
         assert np.isnan(p.values[0, 1])
+
+    def test_float_parsable_markers(self, tmp_path):
+        path = write(tmp_path, "t,A,B\n0,-999,nan\n1, -999 ,2\n2,3,4\n")
+        p = load_panel(path, missing_markers=("-999", "nan"))
+        assert np.array_equal(
+            p.values, [[np.nan, np.nan], [np.nan, 2.0], [3.0, 4.0]], equal_nan=True
+        )
+        assert load_panel(path, missing_markers=("nan",)).values[1, 0] == -999.0
+        with pytest.raises(PanelParseError, match="line 2: non-finite value 'nan' for asset 'B'"):
+            load_panel(path, missing_markers=("-999",))
+
+    def test_row_whose_sum_overflows(self, tmp_path):
+        path = write(tmp_path, "t,A,B,C\n0,1e308,1e308,-1e308\n1,1_0,\u2003 2\xa0,\x1c3\n")
+        p = load_panel(path)
+        assert p.values.tolist() == [[1e308, 1e308, -1e308], [10.0, 2.0, 3.0]]
 
     def test_bom_tolerated(self, tmp_path):
         path = tmp_path / "bom.csv"
@@ -231,8 +247,11 @@ def load_outcome(loader, path):
 clean_cell = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-10**20, 10**20).map(str),
-    st.sampled_from(["", "NA", " NA ", " 1.5 "]),
+    # padding that float() strips too, and padding only str.strip() removes
+    st.sampled_from(["", "NA", " NA ", " 1.5 ", "\u2003 2.5\xa0", "\x1c3\x1f", "1_0", " -999 "]),
+    st.just("1e308"),  # two in a row overflow the row's sum
 )
+MARKER_SETS = [("", "NA"), ("", "NA", "-999"), ("", "NA", "nan"), ("NA", " -999 ", "nan")]
 FAULTS = {
     "short-row": lambda row: row[:-1],
     "long-row": lambda row: [*row, "1"],
@@ -247,26 +266,31 @@ FAULTS = {
 
 @st.composite
 def one_fault_csv(draw):
-    """A well-formed panel file, with at most one fault injected into one row."""
+    """Missing markers and a well-formed panel file that uses them, with at
+    most one fault injected into one row."""
+    markers = draw(st.sampled_from(MARKER_SETS))
+    cell = st.one_of(clean_cell, st.sampled_from(markers))
     n = draw(st.integers(2, 4))
     keys = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=6, unique=True))
     rows = [["t", *(f"A{i}" for i in range(n))]]
-    rows += [[str(k), *draw(st.lists(clean_cell, min_size=n, max_size=n))] for k in keys]
+    rows += [[str(k), *draw(st.lists(cell, min_size=n, max_size=n))] for k in keys]
     fault = draw(st.sampled_from([None, *FAULTS]))
     if fault is not None:
         k = draw(st.integers(1, len(keys)))
         rows[k] = FAULTS[fault](rows[k])
     newline = draw(st.sampled_from(["\n", "\n\n", "\r\n"]))  # "\n\n": a blank line after each row
-    return newline.join(",".join(row) for row in rows).encode("utf-8", "surrogateescape")
+    body = newline.join(",".join(row) for row in rows).encode("utf-8", "surrogateescape")
+    return body, markers
 
 
-@settings(max_examples=200)
-@given(body=one_fault_csv())
-def test_streaming_loader_matches_two_pass_oracle(body, tmp_path_factory):
+@settings(max_examples=300)
+@given(case=one_fault_csv())
+def test_streaming_loader_matches_two_pass_oracle(case, tmp_path_factory):
+    body, markers = case
     path = tmp_path_factory.mktemp("oracle") / "panel.csv"
     path.write_bytes(body)
-    got = load_outcome(load_panel, path)
-    expected = load_outcome(load_panel_two_pass, path)
+    got = load_outcome(partial(load_panel, missing_markers=markers), path)
+    expected = load_outcome(partial(load_panel_two_pass, missing_markers=markers), path)
     assert got == expected
     if isinstance(expected, TimeSeriesPanel):
         assert got.timestamps == expected.timestamps
