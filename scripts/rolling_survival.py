@@ -27,7 +27,7 @@ import numpy as np
 
 from corrtree import (
     FactorModelSpec,
-    ReturnsMatrix,
+    TimeSeriesPanel,
     WindowSpec,
     generate,
     rolling_trees,
@@ -39,7 +39,7 @@ GROUPS = (("A", 6), ("B", 6))
 
 def spliced_panel(
     length: int, seed: int, loading: float, noise: float, reshuffle: bool
-) -> ReturnsMatrix:
+) -> TimeSeriesPanel:
     """Stitch two independent draws; optionally migrate half of each
     group to the other group's factor at the splice."""
     half = length // 2
@@ -52,8 +52,8 @@ def spliced_panel(
         # change block, the labels stay put
         for k in range(3, 6):
             perm[k], perm[6 + k] = perm[6 + k], perm[k]
-    values = np.vstack([first.observations, second.observations[:, perm]])
-    return ReturnsMatrix(first.assets, values, "raw")
+    values = np.vstack([first.values, second.values[:, perm]])
+    return TimeSeriesPanel(first.assets, tuple(range(length)), values)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -41,15 +41,7 @@ from .hierarchy import Dendrogram, Merge, single_linkage, subdominant_ultrametri
 from .mst import SpanningTree, TreeEdge, build_mst, spans_connected_subtree
 from .panel import TimeSeriesPanel, dump_panel, load_panel
 from .synth import FactorModelSpec, generate, parse_group_spec
-from .transforms import (
-    SIGNAL_KINDS,
-    ReturnsMatrix,
-    log_returns,
-    rank_signal,
-    raw_signal,
-    rebase,
-    zscore,
-)
+from .transforms import log_returns, rank_signal, raw_signal, rebase, zscore
 
 __version__ = "0.1.0"
 
@@ -67,8 +59,6 @@ __all__ = [
     "InsufficientDataError",
     "Merge",
     "PanelParseError",
-    "ReturnsMatrix",
-    "SIGNAL_KINDS",
     "STRONG_THRESHOLD",
     "SchemaError",
     "SizeError",

@@ -25,9 +25,9 @@ from .hierarchy import single_linkage, subdominant_ultrametric
 from .mst import build_mst
 from .panel import TimeSeriesPanel, dump_panel, load_panel
 from .synth import FactorModelSpec, generate, parse_group_spec
-from .transforms import ReturnsMatrix, log_returns, rank_signal, raw_signal, rebase, zscore
+from .transforms import log_returns, rank_signal, raw_signal, rebase, zscore
 
-_SIGNALS: dict[str, Callable[[TimeSeriesPanel], ReturnsMatrix]] = {
+_SIGNALS: dict[str, Callable[[TimeSeriesPanel], TimeSeriesPanel]] = {
     "log-return": log_returns,
     "raw": raw_signal,
     "rank": rank_signal,
@@ -71,7 +71,7 @@ def _run_stages(args: argparse.Namespace, last: str) -> dict[str, Any]:
     if args.rebase is not None:
         panel = rebase(panel, args.rebase, numeraire=args.numeraire)
     stages: dict[str, Any] = {"returns": _SIGNALS[args.signal](panel)}
-    del panel  # the signal copied what it needs; free the raw values before the n x n stages
+    del panel  # unless the signal is the panel itself, free the raw values before the n x n stages
     if stop >= 1:
         stages["corr"] = pearson_matrix(stages["returns"], min_overlap=args.min_overlap)
     if stop >= 2:
@@ -183,13 +183,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         seed=args.seed,
         global_loading=args.global_loading,
     )
-    returns = generate(spec)
-    panel = TimeSeriesPanel(
-        returns.assets,
-        tuple(range(returns.observations.shape[0])),
-        returns.observations,
-    )
-    dump_panel(panel, args.out, delimiter=args.delimiter, missing_marker=args.missing)
+    dump_panel(generate(spec), args.out, delimiter=args.delimiter, missing_marker=args.missing)
     return 0
 
 

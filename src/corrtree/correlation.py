@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAssetError, DomainError, InsufficientDataError, SchemaError
-from .transforms import ReturnsMatrix, _unit_scaled
+from .panel import TimeSeriesPanel
+from .transforms import _unit_scaled
 
 STRONG_THRESHOLD = 0.5
 
@@ -62,13 +63,13 @@ class CorrelationMatrix:
         return len(self.assets)
 
 
-def pearson_matrix(returns: ReturnsMatrix, min_overlap: int = 3) -> CorrelationMatrix:
+def pearson_matrix(returns: TimeSeriesPanel, min_overlap: int = 3) -> CorrelationMatrix:
     """Correlation of every asset pair over its jointly-present observations.
 
     Parameters
     ----------
-    returns : ReturnsMatrix
-        Observations, possibly with missing cells (NaN).
+    returns : TimeSeriesPanel
+        Signal values, possibly with missing cells (NaN).
     min_overlap : int
         Minimum number of jointly-present observations a pair must have;
         pairs below it raise :class:`InsufficientDataError`. Must be >= 2.
@@ -84,7 +85,7 @@ def pearson_matrix(returns: ReturnsMatrix, min_overlap: int = 3) -> CorrelationM
     """
     if min_overlap < 2:
         raise ValueError(f"min_overlap must be >= 2, got {min_overlap}")
-    obs = returns.observations
+    obs = returns.values
     if np.isnan(obs).any():
         rho = _pairwise_complete(returns, min_overlap)
     else:
@@ -115,15 +116,15 @@ def _sqrt_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return root
 
 
-def _check_spread(returns: ReturnsMatrix, sumsq: np.ndarray) -> None:
+def _check_spread(returns: TimeSeriesPanel, sumsq: np.ndarray) -> None:
     """Name the first asset whose centred sum of squares is not finite."""
     bad = np.flatnonzero(~np.isfinite(sumsq))
     if bad.size:
         raise DomainError(f"asset {returns.assets[bad[0]]!r}: squared deviations overflow float64")
 
 
-def _full_sample(returns: ReturnsMatrix) -> np.ndarray:
-    obs = _unit_scaled(returns.observations)
+def _full_sample(returns: TimeSeriesPanel) -> np.ndarray:
+    obs = _unit_scaled(returns.values)
     t = obs.shape[0]
     with np.errstate(all="ignore"):
         centered = obs - obs.mean(axis=0)
@@ -137,7 +138,7 @@ def _full_sample(returns: ReturnsMatrix) -> np.ndarray:
     return gram / _sqrt_product(var[:, None], var[None, :])
 
 
-def _pairwise_complete(returns: ReturnsMatrix, min_overlap: int) -> np.ndarray:
+def _pairwise_complete(returns: TimeSeriesPanel, min_overlap: int) -> np.ndarray:
     """Correlation over each pair's joint rows, as one masked Gram computation.
 
     Each column is scaled by :func:`_unit_scaled`, then centred twice on
@@ -157,7 +158,7 @@ def _pairwise_complete(returns: ReturnsMatrix, min_overlap: int) -> np.ndarray:
     raises the same error for the same first pair as a loop over every
     pair would, or gives that pair's value.
     """
-    obs = returns.observations
+    obs = returns.values
     n = returns.n_assets
     absent = np.isnan(obs)
     present = ~absent
@@ -200,10 +201,10 @@ def _pairwise_complete(returns: ReturnsMatrix, min_overlap: int) -> np.ndarray:
 
 
 def _pair_rho(
-    returns: ReturnsMatrix, present: np.ndarray, i: int, j: int, min_overlap: int
+    returns: TimeSeriesPanel, present: np.ndarray, i: int, j: int, min_overlap: int
 ) -> float:
     """One pair's correlation from its joint rows, double-centred."""
-    obs = returns.observations
+    obs = returns.values
     joint = present[:, i] & present[:, j]
     count = int(joint.sum())
     pair = f"({returns.assets[i]!r}, {returns.assets[j]!r})"
@@ -256,10 +257,13 @@ class CorrelationCensus:
 
 
 def census(corr: CorrelationMatrix) -> CorrelationCensus:
-    """Bucket every off-diagonal pair into strong / weak / negative."""
-    iu, ju = np.triu_indices(corr.n_assets, k=1)
-    vals = corr.rho[iu, ju]
-    strong = int((vals >= STRONG_THRESHOLD).sum())
-    negative = int((vals < 0.0).sum())
-    weak = int(vals.size - strong - negative)
-    return CorrelationCensus(corr.n_assets, strong, weak, negative)
+    """Bucket every off-diagonal pair into strong / weak / negative.
+
+    The matrix is exactly symmetric with a unit diagonal, so each pair is
+    counted twice over the whole matrix and the diagonal n times as strong.
+    """
+    n = corr.n_assets
+    strong = (int(np.count_nonzero(corr.rho >= STRONG_THRESHOLD)) - n) // 2
+    negative = int(np.count_nonzero(corr.rho < 0.0)) // 2
+    weak = n * (n - 1) // 2 - strong - negative
+    return CorrelationCensus(n, strong, weak, negative)

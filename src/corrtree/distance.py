@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import CorrelationMatrix
-from .errors import SchemaError
+from .errors import DomainError, SchemaError
 
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Symmetric non-negative matrix with zero diagonal, indexed by asset labels."""
+    """Symmetric, finite, non-negative matrix with zero diagonal, indexed by asset labels."""
 
     assets: tuple[str, ...]
     d: np.ndarray
@@ -40,6 +40,11 @@ class DistanceMatrix:
             raise SchemaError("distance diagonal must be exactly 0")
         if np.any(d < 0.0):
             raise SchemaError("distances must be non-negative")
+        if not np.isfinite(d.max()):  # the entries are >= 0 or NaN here
+            i, j = np.argwhere(~np.isfinite(d))[0]
+            raise DomainError(
+                f"non-finite distance {float(d[i, j])!r} between {assets[i]!r} and {assets[j]!r}"
+            )
         d.setflags(write=False)
 
     @property
@@ -49,6 +54,7 @@ class DistanceMatrix:
 
 def to_distance(corr: CorrelationMatrix) -> DistanceMatrix:
     """Map a correlation matrix elementwise through ``sqrt(2 (1 - rho))``."""
-    d = np.sqrt(2.0 * (1.0 - corr.rho))
-    np.fill_diagonal(d, 0.0)
+    d = 1.0 - corr.rho
+    d *= 2.0
+    np.sqrt(d, out=d)  # the unit diagonal maps to +0.0
     return DistanceMatrix(corr.assets, d)

@@ -15,8 +15,8 @@ import numpy as np
 from .correlation import pearson_matrix
 from .distance import to_distance
 from .errors import ComparisonError, SchemaError, SizeError
-from .mst import SpanningTree, _check_offdiag_finite, _prim_trees, build_mst
-from .transforms import ReturnsMatrix
+from .mst import SpanningTree, _prim_trees, build_mst
+from .panel import TimeSeriesPanel
 
 # Byte budget of the distance-matrix stack one batched tree run takes
 # (16 windows at n = 300); a larger stack saves little time and adds RSS.
@@ -79,7 +79,7 @@ class TreeSequence:
 
 
 def rolling_trees(
-    returns: ReturnsMatrix, window: WindowSpec, *, min_overlap: int = 3
+    returns: TimeSeriesPanel, window: WindowSpec, *, min_overlap: int = 3
 ) -> TreeSequence:
     """One spanning tree per window [k*step, k*step + width).
 
@@ -88,7 +88,7 @@ def rolling_trees(
     are gathered into a bounded stack (16 windows at n = 300), and each
     full stack's trees come from one batched Prim run.
     """
-    n_obs = returns.observations.shape[0]
+    n_obs = returns.n_obs
     if n_obs < window.width:
         raise SizeError(
             f"window width {window.width} exceeds series length {n_obs}"
@@ -101,11 +101,10 @@ def rolling_trees(
     for k in range(count):
         start = k * window.step
         end = start + window.width
-        sub = ReturnsMatrix(
-            returns.assets, returns.observations[start:end], returns.kind
+        sub = TimeSeriesPanel(
+            returns.assets, returns.timestamps[start:end], returns.values[start:end]
         )
         dist = to_distance(pearson_matrix(sub, min_overlap=min_overlap))
-        _check_offdiag_finite(dist)
         filled = k % len(stack)
         stack[filled] = dist.d
         if filled == len(stack) - 1 or k == count - 1:
@@ -132,16 +131,16 @@ class SplitComparison(NamedTuple):
 
 
 def split_compare(
-    returns: ReturnsMatrix, split_index: int, *, min_overlap: int = 3
+    returns: TimeSeriesPanel, split_index: int, *, min_overlap: int = 3
 ) -> SplitComparison:
     """Trees for the segments [0, split) and [split, T) plus their edge survival."""
-    n_obs = returns.observations.shape[0]
+    n_obs = returns.n_obs
     if split_index < 3 or n_obs - split_index < 3:
         raise SizeError(
             f"split at {split_index} leaves a segment shorter than 3 of {n_obs} observations"
         )
-    head = ReturnsMatrix(returns.assets, returns.observations[:split_index], returns.kind)
-    tail = ReturnsMatrix(returns.assets, returns.observations[split_index:], returns.kind)
+    head = TimeSeriesPanel(returns.assets, returns.timestamps[:split_index], returns.values[:split_index])
+    tail = TimeSeriesPanel(returns.assets, returns.timestamps[split_index:], returns.values[split_index:])
     before = build_mst(to_distance(pearson_matrix(head, min_overlap=min_overlap)))
     after = build_mst(to_distance(pearson_matrix(tail, min_overlap=min_overlap)))
     return SplitComparison(before, after, edge_survival(before, after))

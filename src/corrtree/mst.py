@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .distance import DistanceMatrix
-from .errors import DomainError, SchemaError, SizeError, UnknownAssetError
+from .errors import SchemaError, SizeError, UnknownAssetError
 
 
 class TreeEdge(NamedTuple):
@@ -95,19 +95,6 @@ class _UnionFind:
         return True
 
 
-def _check_offdiag_finite(dist: DistanceMatrix) -> None:
-    d = dist.d
-    finite = np.isfinite(d)
-    np.fill_diagonal(finite, True)
-    bad = np.argwhere(~finite)
-    if bad.size:
-        i, j = bad[0]
-        raise DomainError(
-            f"non-finite distance {float(d[i, j])!r} between "
-            f"{dist.assets[i]!r} and {dist.assets[j]!r}"
-        )
-
-
 def build_mst(dist: DistanceMatrix) -> SpanningTree:
     """Greedy shortest-edge-first spanning tree construction.
 
@@ -119,15 +106,14 @@ def build_mst(dist: DistanceMatrix) -> SpanningTree:
     n = dist.n_assets
     if n < 2:
         raise SizeError(f"need at least 2 assets to build a tree, got {n}")
-    _check_offdiag_finite(dist)
     return _prim_trees(dist.assets, dist.d[None])[0]
 
 
 def _prim_trees(labels: tuple[str, ...], stack: np.ndarray) -> list[SpanningTree]:
     """The spanning tree of each matrix in a (W, n, n) stack over shared labels.
 
-    Each matrix must be a valid distance matrix with finite off-diagonal
-    entries; :func:`build_mst` is the one-matrix case.
+    Each matrix must hold the entries of a valid :class:`DistanceMatrix`;
+    :func:`build_mst` is the one-matrix case.
     """
     n = len(labels)
     lexrank = np.empty(n, dtype=np.int64)
@@ -140,7 +126,7 @@ def _prim_trees(labels: tuple[str, ...], stack: np.ndarray) -> list[SpanningTree
     first = np.where(lexrank[i] < lexrank[j], i, j)  # the endpoint whose label sorts first
     name = labels.__getitem__
     return [
-        SpanningTree(labels, tuple(map(TreeEdge, map(name, a), map(name, b), w)))
+        SpanningTree(labels, tuple(zip(map(name, a), map(name, b), w)))
         for a, b, w in zip(first.tolist(), (i + j - first).tolist(), weights.tolist())
     ]
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeneratorSpecError
-from .transforms import ReturnsMatrix
+from .panel import TimeSeriesPanel
 
 _STREAM_FACTOR = 0
 _STREAM_NOISE = 1
@@ -106,8 +106,8 @@ def _stream(seed: int, kind: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def generate(spec: FactorModelSpec) -> ReturnsMatrix:
-    """Draw one panel; identical spec gives bitwise identical output."""
+def generate(spec: FactorModelSpec) -> TimeSeriesPanel:
+    """Draw one panel, timestamped 0 .. length - 1; identical spec gives identical bits."""
     t = spec.length
     members = spec.member_map()
     names: list[str] = []
@@ -127,7 +127,7 @@ def generate(spec: FactorModelSpec) -> ReturnsMatrix:
             names.append(name)
             asset_index += 1
     values = np.column_stack(columns)
-    return ReturnsMatrix(tuple(names), values, "raw")
+    return TimeSeriesPanel(tuple(names), tuple(range(t)), values)
 
 
 _GROUPS_COMPACT = re.compile(r"^(\d+)\s*[xX]\s*(\d+)$")

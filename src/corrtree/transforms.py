@@ -1,55 +1,20 @@
 """Signal transforms feeding the correlation stage.
 
-Four signal kinds are supported: natural-log returns for price-like
-series, per-timestamp ranks for league-table data (1 = largest, ties get
-the mean rank), per-asset z-scores for survey traits (population
-divisor), and the raw values untouched. ``rebase`` re-expresses a panel
+Four signals are supported, each returning a panel of the input's
+assets: natural-log returns for price-like series, per-timestamp ranks
+for league-table data (1 = largest, ties get the mean rank), per-asset
+z-scores for survey traits (population divisor), and the raw values
+untouched. ``rebase`` re-expresses a panel
 of currency quotes in a different base currency; the tree built from
 such a panel depends on that choice of reference frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateAssetError, DomainError, SchemaError, SizeError, UnknownAssetError
 from .panel import TimeSeriesPanel
-
-SIGNAL_KINDS = ("log_return", "raw", "rank", "zscore")
-
-
-@dataclass(frozen=True, eq=False)
-class ReturnsMatrix:
-    """Derived observation matrix (time x asset) handed to the correlation stage."""
-
-    assets: tuple[str, ...]
-    observations: np.ndarray
-    kind: str
-
-    def __post_init__(self) -> None:
-        assets = tuple(self.assets)
-        obs = np.array(self.observations, dtype=float)
-        object.__setattr__(self, "assets", assets)
-        object.__setattr__(self, "observations", obs)
-        if self.kind not in SIGNAL_KINDS:
-            raise SchemaError(f"unknown signal kind {self.kind!r}; expected one of {SIGNAL_KINDS}")
-        if len(assets) < 2 or len(set(assets)) != len(assets):
-            raise SchemaError("need at least 2 uniquely labelled assets")
-        if obs.ndim != 2 or obs.shape[1] != len(assets) or obs.shape[0] < 1:
-            raise SchemaError(
-                f"observation matrix shape {obs.shape} does not match {len(assets)} assets"
-            )
-        obs.setflags(write=False)
-
-    @property
-    def n_assets(self) -> int:
-        return len(self.assets)
-
-    @property
-    def n_obs(self) -> int:
-        return int(self.observations.shape[0])
 
 
 def _unit_scaled(x: np.ndarray) -> np.ndarray:
@@ -64,12 +29,13 @@ def _unit_scaled(x: np.ndarray) -> np.ndarray:
     return np.ldexp(x, -np.minimum(exponent, 0))
 
 
-def log_returns(panel: TimeSeriesPanel) -> ReturnsMatrix:
+def log_returns(panel: TimeSeriesPanel) -> TimeSeriesPanel:
     """Log-difference each asset column: ``Y[t] = ln P[t+1] - ln P[t]``.
 
     Every present value must be strictly positive. A missing price at
     ``t`` or ``t+1`` yields a missing return at ``t``; the output has one
-    row fewer than the panel.
+    row fewer than the panel, and each return is labelled with the later
+    of its two timestamps (``panel.timestamps[1:]``).
     """
     if panel.n_obs < 2:
         raise SizeError("log returns need at least 2 observations")
@@ -82,15 +48,15 @@ def log_returns(panel: TimeSeriesPanel) -> ReturnsMatrix:
             f"at timestamp {panel.timestamps[t]!r}"
         )
     logs = np.log(values)
-    return ReturnsMatrix(panel.assets, logs[1:] - logs[:-1], "log_return")
+    return TimeSeriesPanel(panel.assets, panel.timestamps[1:], logs[1:] - logs[:-1])
 
 
-def raw_signal(panel: TimeSeriesPanel) -> ReturnsMatrix:
-    """Pass panel values through unchanged."""
-    return ReturnsMatrix(panel.assets, panel.values, "raw")
+def raw_signal(panel: TimeSeriesPanel) -> TimeSeriesPanel:
+    """The panel itself: its values are the signal (panels are immutable)."""
+    return panel
 
 
-def rank_signal(panel: TimeSeriesPanel) -> ReturnsMatrix:
+def rank_signal(panel: TimeSeriesPanel) -> TimeSeriesPanel:
     """Rank assets within each timestamp, 1 = largest value, ties share the mean rank.
 
     Row sums are therefore always n(n+1)/2. Rows with missing values
@@ -118,10 +84,10 @@ def rank_signal(panel: TimeSeriesPanel) -> ReturnsMatrix:
     end = np.minimum.accumulate(np.where(closes, cols + 1, n)[:, ::-1], axis=1)[:, ::-1]
     out = np.empty_like(values)
     np.put_along_axis(out, order, (start + 1 + end) / 2.0, axis=1)
-    return ReturnsMatrix(panel.assets, out, "rank")
+    return TimeSeriesPanel(panel.assets, panel.timestamps, out)
 
 
-def zscore(panel: TimeSeriesPanel) -> ReturnsMatrix:
+def zscore(panel: TimeSeriesPanel) -> TimeSeriesPanel:
     """Shift each asset column to mean 0 and scale to population standard deviation 1.
 
     Statistics are taken over present values only; missing cells stay
@@ -149,7 +115,7 @@ def zscore(panel: TimeSeriesPanel) -> ReturnsMatrix:
         if sigma == 0.0:
             raise DegenerateAssetError(f"asset {panel.assets[i]!r} has zero variance")
         out[present[:, i], i] = centered / sigma
-    return ReturnsMatrix(panel.assets, out, "zscore")
+    return TimeSeriesPanel(panel.assets, panel.timestamps, out)
 
 
 def rebase(panel: TimeSeriesPanel, base: str, *, numeraire: str) -> TimeSeriesPanel:

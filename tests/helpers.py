@@ -11,7 +11,6 @@ import corrtree
 from corrtree import (
     CorrelationMatrix,
     DistanceMatrix,
-    ReturnsMatrix,
     TimeSeriesPanel,
     pearson_matrix,
     to_distance,
@@ -44,16 +43,16 @@ def labels(n: int, prefix: str = "S") -> tuple[str, ...]:
     return tuple(f"{prefix}{i:02d}" for i in range(n))
 
 
-def returns(values, kind: str = "raw", prefix: str = "S") -> ReturnsMatrix:
-    values = np.asarray(values, dtype=float)
-    return ReturnsMatrix(labels(values.shape[1], prefix), values, kind)
-
-
 def panel(values, prefix: str = "S") -> TimeSeriesPanel:
     values = np.asarray(values, dtype=float)
     return TimeSeriesPanel(
         labels(values.shape[1], prefix), tuple(range(values.shape[0])), values
     )
+
+
+def returns(values, prefix: str = "S") -> TimeSeriesPanel:
+    """A signal panel: the values as given, labelled S00, S01, ... and timestamped 0, 1, ..."""
+    return panel(values, prefix)
 
 
 def corr_from_pairs(names, pairs, default: float = 0.0) -> CorrelationMatrix:

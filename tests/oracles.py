@@ -7,7 +7,8 @@ Prufer sequences, agglomeration by a full ``argmin`` over the working
 matrix at each step, a replay of the tree's edges that finds
 each endpoint's cluster by a linear search, a breadth-first walk from
 every root for the ultrametric, row-by-row ranking, and the
-pairwise-complete correlation one pair at a time. They are slow and
+pairwise-complete correlation one pair at a time, and the census over
+the upper triangle. They are slow and
 memory-hungry by design; tests compare the vectorised kernels with them
 bit for bit, not within a tolerance, except the correlation, whose
 summation order changed and which is held to 1e-12 and to identical
@@ -31,10 +32,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from corrtree import (
+    STRONG_THRESHOLD,
+    CorrelationCensus,
+    CorrelationMatrix,
     DistanceMatrix,
     Dendrogram,
     Merge,
-    ReturnsMatrix,
     SpanningTree,
     TimeSeriesPanel,
     TreeEdge,
@@ -51,10 +54,24 @@ from corrtree.errors import (
     SchemaError,
     SizeError,
 )
-from corrtree.mst import _check_offdiag_finite, _UnionFind
+from corrtree.mst import _UnionFind
 from corrtree.panel import Timestamp, _coerce_keys, _decode_error
 
 ORACLE_MAX_ASSETS = 8
+
+
+# The finiteness check the tree oracles ran before DistanceMatrix made it.
+def _check_offdiag_finite(dist: DistanceMatrix) -> None:
+    d = dist.d
+    finite = np.isfinite(d)
+    np.fill_diagonal(finite, True)
+    bad = np.argwhere(~finite)
+    if bad.size:
+        i, j = bad[0]
+        raise DomainError(
+            f"non-finite distance {float(d[i, j])!r} between "
+            f"{dist.assets[i]!r} and {dist.assets[j]!r}"
+        )
 
 
 def kruskal_mst(dist: DistanceMatrix) -> SpanningTree:
@@ -149,14 +166,14 @@ def prim_mst_compacted(dist: DistanceMatrix) -> SpanningTree:
 
 # Rolling windows before they were batched: one tree built per window.
 def rolling_trees_loop(
-    returns: ReturnsMatrix, window: WindowSpec, *, min_overlap: int = 3
+    returns: TimeSeriesPanel, window: WindowSpec, *, min_overlap: int = 3
 ) -> TreeSequence:
     """One spanning tree per window [k*step, k*step + width).
 
     Window count is floor((T - width) / step) + 1; trailing observations
     that do not fill a window are dropped.
     """
-    n_obs = returns.observations.shape[0]
+    n_obs = returns.n_obs
     if n_obs < window.width:
         raise SizeError(
             f"window width {window.width} exceeds series length {n_obs}"
@@ -167,8 +184,8 @@ def rolling_trees_loop(
     for k in range(count):
         start = k * window.step
         end = start + window.width
-        sub = ReturnsMatrix(
-            returns.assets, returns.observations[start:end], returns.kind
+        sub = TimeSeriesPanel(
+            returns.assets, returns.timestamps[start:end], returns.values[start:end]
         )
         corr = pearson_matrix(sub, min_overlap=min_overlap)
         trees.append(prim_mst_compacted(to_distance(corr)))
@@ -429,9 +446,9 @@ def mean_ranks_loop(row: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def pairwise_complete_loop(returns: ReturnsMatrix, min_overlap: int) -> np.ndarray:
+def pairwise_complete_loop(returns: TimeSeriesPanel, min_overlap: int) -> np.ndarray:
     """Correlation of each pair over its joint rows, one pair at a time in (i, j) order."""
-    obs = returns.observations
+    obs = returns.values
     n = returns.n_assets
     present = ~np.isnan(obs)
     rho = np.eye(n)
@@ -459,6 +476,17 @@ def pairwise_complete_loop(returns: ReturnsMatrix, min_overlap: int) -> np.ndarr
                 )
             rho[i, j] = rho[j, i] = np.mean(xi * xj) / np.sqrt(vi * vj)
     return rho
+
+
+# The census before it counted over the whole matrix.
+def census_triu(corr: CorrelationMatrix) -> CorrelationCensus:
+    """Bucket the entries above the diagonal, one per unordered pair."""
+    iu, ju = np.triu_indices(corr.n_assets, k=1)
+    vals = corr.rho[iu, ju]
+    strong = int((vals >= STRONG_THRESHOLD).sum())
+    negative = int((vals < 0.0).sum())
+    weak = int(vals.size - strong - negative)
+    return CorrelationCensus(corr.n_assets, strong, weak, negative)
 
 
 # The panel loader before it streamed its rows: the whole file as a list

@@ -18,7 +18,7 @@ from corrtree import (
     pearson_matrix,
 )
 from helpers import corr_from_pairs, labels, returns
-from oracles import pairwise_complete_loop
+from oracles import census_triu, pairwise_complete_loop
 
 # frozen: corr([1,2,3],[1,2,4]) = sqrt(27/28), same under population or
 # sample divisors
@@ -294,3 +294,17 @@ class TestCensus:
         strong_pairs = {(names[2 * k], names[2 * k + 1]): 0.7 for k in range(9)}
         counts = census(corr_from_pairs(names, strong_pairs, default=0.2))
         assert (counts.strong, counts.weak, counts.negative) == (9, 426, 0)
+
+    def test_matches_upper_triangle_oracle(self):
+        # entries exactly on the bin edges, on either side of them and at -0.0
+        pool = [0.5, 0.4999999999999999, 0.0, -0.0, -1e-300, 1.0, -1.0, 0.7, -0.3]
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n = int(rng.integers(2, 12))
+            iu, ju = np.triu_indices(n, k=1)
+            rho = np.eye(n)
+            rho[iu, ju] = rho[ju, iu] = rng.choice(pool, iu.size)
+            corr = CorrelationMatrix(labels(n), rho)
+            counts = census(corr)
+            assert counts == census_triu(corr)
+            assert {type(c) for c in (counts.strong, counts.weak, counts.negative)} == {int}

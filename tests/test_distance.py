@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from corrtree import (
     DistanceMatrix,
+    DomainError,
     SchemaError,
     pearson_matrix,
     to_distance,
@@ -73,6 +74,25 @@ class TestDistanceMatrixValidation:
         d = np.array([[0.0, 1.0], [1.1, 0.0]])
         with pytest.raises(SchemaError):
             DistanceMatrix(("A", "B"), d)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_entries(self, bad):
+        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, bad], [2.0, bad, 0.0]])
+        with pytest.raises(DomainError) as info:
+            DistanceMatrix(("A", "B", "C"), d)
+        assert str(info.value) == f"non-finite distance {bad!r} between 'B' and 'C'"
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            [[0.0, np.inf], [1.0, 0.0]],  # asymmetric
+            [[np.nan, 1.0], [1.0, 0.0]],  # diagonal
+            [[0.0, -1.0, np.inf], [-1.0, 0.0, 1.0], [np.inf, 1.0, 0.0]],  # negative
+        ],
+    )
+    def test_earlier_checks_come_first(self, d):
+        with pytest.raises(SchemaError):
+            DistanceMatrix(tuple("ABC"[: len(d)]), np.array(d))
 
 
 class TestAxiomChecks:

@@ -9,6 +9,7 @@ from corrtree import (
     InsufficientDataError,
     SizeError,
     SpanningTree,
+    TimeSeriesPanel,
     TreeEdge,
     WindowSpec,
     build_mst,
@@ -20,7 +21,8 @@ from corrtree import (
     split_compare,
     to_distance,
 )
-from helpers import returns
+from corrtree import dynamics
+from helpers import labels, returns
 
 
 def path_tree(labels, weights=None):
@@ -63,6 +65,25 @@ class TestRollingTrees:
         static = build_mst(to_distance(pearson_matrix(r)))
         assert len(seq) == 1
         assert seq.trees[0].edges == static.edges
+
+    def test_each_window_is_the_pipeline_on_its_panel_slice(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        y = rng.standard_normal((14, 4))
+        y[3, 1] = np.nan  # the first window takes the missing-data path
+        r = TimeSeriesPanel(labels(4), tuple(f"d{k:02d}" for k in range(14)), y)
+        seen = []
+
+        def recorded(sub, **kwargs):
+            seen.append(sub)
+            return pearson_matrix(sub, **kwargs)
+
+        monkeypatch.setattr(dynamics, "pearson_matrix", recorded)
+        seq = rolling_trees(r, WindowSpec(width=6, step=4))
+        assert len(seen) == len(seq) == 3
+        for sub, (start, end), tree in zip(seen, seq.windows, seq.trees):
+            part = TimeSeriesPanel(r.assets, r.timestamps[start:end], r.values[start:end])
+            assert sub == part
+            assert tree.edges == build_mst(to_distance(pearson_matrix(part))).edges
 
     def test_width_longer_than_series(self):
         rng = np.random.default_rng(3)
@@ -170,6 +191,14 @@ class TestSplitCompare:
         assert survival == 1.0
         assert before.edges == after.edges
 
+    def test_segments_are_panel_slices(self):
+        rng = np.random.default_rng(12)
+        r = TimeSeriesPanel(labels(4), tuple(range(100, 112)), rng.standard_normal((12, 4)))
+        before, after, _ = split_compare(r, 5)
+        for tree, rows in ((before, slice(5)), (after, slice(5, None))):
+            part = TimeSeriesPanel(r.assets, r.timestamps[rows], r.values[rows])
+            assert tree.edges == build_mst(to_distance(pearson_matrix(part))).edges
+
     def test_segment_guards(self):
         rng = np.random.default_rng(11)
         r = returns(rng.standard_normal((10, 3)))
@@ -197,8 +226,8 @@ class TestSplitCompare:
                 length=200,
                 seed=seed + 5000,
             )
-            ya = generate(spec_a).observations
-            yb = generate(spec_b).observations
+            ya = generate(spec_a).values
+            yb = generate(spec_b).values
             # reshuffle factor membership for the second half
             perm = np.random.default_rng(seed).permutation(10)
             r_switch = returns(np.vstack([ya, yb[:, perm]]))

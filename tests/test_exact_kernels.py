@@ -8,7 +8,6 @@ from corrtree import (
     Dendrogram,
     DistanceMatrix,
     Merge,
-    ReturnsMatrix,
     SpanningTree,
     TimeSeriesPanel,
     WindowSpec,
@@ -153,7 +152,7 @@ def test_rank_signal_matches_row_loop():
             tuple(f"A{i}" for i in range(shape[1])), tuple(range(shape[0])), values
         )
         expected = np.array([mean_ranks_loop(row) for row in values])
-        assert rank_signal(panel).observations.tobytes() == expected.tobytes()
+        assert rank_signal(panel).values.tobytes() == expected.tobytes()
 
 
 def tree_bytes(tree: SpanningTree) -> tuple:
@@ -180,7 +179,7 @@ def test_batched_kernel_matches_per_matrix_oracles(seed):
             assert tree_bytes(tree) == tree_bytes(kruskal_mst(dist))
 
 
-def tied_returns(rng: np.random.Generator, n_obs: int, n: int) -> ReturnsMatrix:
+def tied_returns(rng: np.random.Generator, n_obs: int, n: int) -> TimeSeriesPanel:
     """Gaussian returns whose first half copies one column into two others.
 
     Windows in the first half hold zero distances and equal distances
@@ -189,7 +188,7 @@ def tied_returns(rng: np.random.Generator, n_obs: int, n: int) -> ReturnsMatrix:
     """
     y = rng.standard_normal((n_obs, n))
     y[: n_obs // 2, n - 2 :] = y[: n_obs // 2, :1]
-    return ReturnsMatrix(tuple(f"A{n - k}" for k in range(n)), y, "raw")
+    return TimeSeriesPanel(tuple(f"A{n - k}" for k in range(n)), tuple(range(n_obs)), y)
 
 
 def window_bytes(n: int) -> int:

@@ -71,19 +71,19 @@ class TestSpecValidation:
 class TestGenerate:
     def test_shape_kind_and_names(self):
         r = generate(spec())
-        assert r.kind == "raw"
-        assert r.observations.shape == (100, 6)
+        assert r.timestamps == tuple(range(100))
+        assert r.values.shape == (100, 6)
         assert r.assets == ("A_00", "A_01", "A_02", "B_00", "B_01", "B_02")
 
     def test_same_seed_bitwise_identical(self):
         a = generate(spec(seed=9))
         b = generate(spec(seed=9))
-        assert np.array_equal(a.observations, b.observations)
+        assert np.array_equal(a.values, b.values)
 
     def test_different_seed_differs(self):
         a = generate(spec(seed=9))
         b = generate(spec(seed=10))
-        assert not np.array_equal(a.observations, b.observations)
+        assert not np.array_equal(a.values, b.values)
 
     def test_group_count_invariance_of_existing_streams(self):
         # adding a group must not disturb the draws of earlier groups'
@@ -91,7 +91,7 @@ class TestGenerate:
         small = generate(spec(groups=(("A", 3), ("B", 3))))
         large = generate(spec(groups=(("A", 3), ("B", 3), ("C", 2))))
         assert np.array_equal(
-            small.observations[:, :3], large.observations[:, :3]
+            small.values[:, :3], large.values[:, :3]
         )
 
     def test_zero_noise_gives_perfect_within_group_correlation(self):

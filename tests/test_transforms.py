@@ -29,10 +29,9 @@ class TestLogReturns:
     def test_frozen_value(self):
         p = panel([[100.0, 50.0], [110.0, 50.0]])
         r = log_returns(p)
-        assert r.kind == "log_return"
-        assert r.observations.shape == (1, 2)
-        assert abs(r.observations[0, 0] - LN_1_1) < 1e-15
-        assert r.observations[0, 1] == 0.0
+        assert r.values.shape == (1, 2)
+        assert abs(r.values[0, 0] - LN_1_1) < 1e-15
+        assert r.values[0, 1] == 0.0
 
     def test_needs_two_rows(self):
         with pytest.raises(SizeError):
@@ -48,8 +47,8 @@ class TestLogReturns:
     def test_missing_propagates_to_adjacent_returns(self):
         p = panel([[1.0, 1.0], [np.nan, 2.0], [3.0, 4.0]])
         r = log_returns(p)
-        assert np.isnan(r.observations[0, 0]) and np.isnan(r.observations[1, 0])
-        assert not np.isnan(r.observations[:, 1]).any()
+        assert np.isnan(r.values[0, 0]) and np.isnan(r.values[1, 0])
+        assert not np.isnan(r.values[:, 1]).any()
 
     @given(
         hnp.arrays(
@@ -59,24 +58,45 @@ class TestLogReturns:
         )
     )
     def test_scale_invariance(self, values):
-        base = log_returns(panel(values)).observations
-        scaled = log_returns(panel(values * 7.5)).observations
+        base = log_returns(panel(values)).values
+        scaled = log_returns(panel(values * 7.5)).values
         assert np.allclose(base, scaled, atol=1e-12)
+
+
+class TestSignalPanels:
+    """Every signal returns a panel of the input's assets."""
+
+    @staticmethod
+    def prices():
+        dates = ("2024-01-02", "2024-01-03", "2024-01-04")
+        return TimeSeriesPanel(("A", "B"), dates, [[1.0, 2.0], [1.5, 2.5], [1.2, 3.0]])
+
+    def test_log_returns_take_the_later_timestamp(self):
+        p = self.prices()
+        r = log_returns(p)
+        assert r.assets == p.assets
+        assert r.timestamps == p.timestamps[1:]
+
+    @pytest.mark.parametrize("signal", [rank_signal, zscore])
+    def test_rank_and_zscore_keep_timestamps(self, signal):
+        p = self.prices()
+        r = signal(p)
+        assert r.assets == p.assets
+        assert r.timestamps == p.timestamps
 
 
 class TestRawAndRank:
     def test_raw_passthrough(self):
         p = panel([[1.0, -2.0], [3.0, 4.0]])
         r = raw_signal(p)
-        assert r.kind == "raw"
-        assert np.array_equal(r.observations, p.values)
+        assert r is p  # panels are immutable, so the signal shares it
+        assert np.array_equal(r.values, p.values)
 
     def test_rank_descending_with_ties(self):
         # row [3, 1, 2] -> places [1, 3, 2]; ties share the mean place
         r = rank_signal(panel([[3.0, 1.0, 2.0], [5.0, 5.0, 1.0]]))
-        assert r.kind == "rank"
-        assert r.observations[0].tolist() == [1.0, 3.0, 2.0]
-        assert r.observations[1].tolist() == [1.5, 1.5, 3.0]
+        assert r.values[0].tolist() == [1.0, 3.0, 2.0]
+        assert r.values[1].tolist() == [1.5, 1.5, 3.0]
 
     def test_rank_rejects_missing(self):
         with pytest.raises(DomainError):
@@ -91,29 +111,29 @@ class TestRawAndRank:
         )
     )
     def test_rank_invariant_under_monotone_map(self, values):
-        direct = rank_signal(panel(values)).observations
+        direct = rank_signal(panel(values)).values
         # power-of-two scaling is exact, so the order is untouched
-        mapped = rank_signal(panel(values * 4.0)).observations
+        mapped = rank_signal(panel(values * 4.0)).values
         assert np.array_equal(direct, mapped)
 
     def test_rank_rows_sum_to_constant(self):
         rng = np.random.default_rng(3)
         r = rank_signal(panel(rng.standard_normal((20, 6))))
-        assert np.allclose(r.observations.sum(axis=1), 21.0)  # 1+2+...+6
+        assert np.allclose(r.values.sum(axis=1), 21.0)  # 1+2+...+6
 
 
 class TestZScore:
     def test_frozen_three_point_column(self):
         r = zscore(panel([[1.0, 5.0], [2.0, 5.5], [3.0, 6.0]]))
         expected = 1.224744871391589  # sqrt(3/2)
-        assert abs(r.observations[2, 0] - expected) < 1e-15
-        assert abs(r.observations[0, 0] + expected) < 1e-15
+        assert abs(r.values[2, 0] - expected) < 1e-15
+        assert abs(r.values[0, 0] + expected) < 1e-15
 
     def test_population_moments(self):
         rng = np.random.default_rng(11)
         r = zscore(panel(rng.standard_normal((50, 4)) * 3.0 + 5.0))
-        assert np.allclose(r.observations.mean(axis=0), 0.0, atol=1e-12)
-        assert np.allclose((r.observations**2).mean(axis=0), 1.0, atol=1e-12)
+        assert np.allclose(r.values.mean(axis=0), 0.0, atol=1e-12)
+        assert np.allclose((r.values**2).mean(axis=0), 1.0, atol=1e-12)
 
     def test_constant_column_rejected(self):
         with pytest.raises(DegenerateAssetError):
@@ -121,8 +141,8 @@ class TestZScore:
 
     def test_missing_preserved_and_ignored(self):
         r = zscore(panel([[1.0, 1.0], [np.nan, 2.0], [3.0, 3.0]]))
-        assert np.isnan(r.observations[1, 0])
-        present = r.observations[[0, 2], 0]
+        assert np.isnan(r.values[1, 0])
+        present = r.values[[0, 2], 0]
         assert abs(present.mean()) < 1e-12
 
     def test_too_few_present_values(self):
@@ -134,8 +154,8 @@ class TestZScore:
         rng = np.random.default_rng(23)
         y = rng.standard_normal((30, 3))
         y[rng.random(y.shape) < 0.1] = np.nan
-        expected = zscore(panel(y)).observations
-        got = zscore(panel(y * 10.0**k)).observations
+        expected = zscore(panel(y)).values
+        got = zscore(panel(y * 10.0**k)).values
         assert np.array_equal(np.isnan(got), np.isnan(expected))
         assert np.nanmax(np.abs(got - expected)) <= 1e-12
 
