@@ -81,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
             sequence = rolling_trees(returns, window)
             windows = list(sequence.windows)
             series.append([s for s in sequence.survival_vs_previous() if s is not None])
-            splits.append(split_compare(returns, break_at).survival)
+            splits.append(split_compare(returns, break_at).survival_vs_previous()[1])
         assert windows is not None
         return np.mean(series, axis=0), windows, float(np.mean(splits))
 

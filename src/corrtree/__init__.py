@@ -17,7 +17,6 @@ from .correlation import (
 )
 from .distance import DistanceMatrix, to_distance
 from .dynamics import (
-    SplitComparison,
     TreeSequence,
     WindowSpec,
     edge_survival,
@@ -63,7 +62,6 @@ __all__ = [
     "SchemaError",
     "SizeError",
     "SpanningTree",
-    "SplitComparison",
     "TimeSeriesPanel",
     "TreeEdge",
     "TreeSequence",

@@ -1,21 +1,22 @@
 """Rolling-window tree dynamics.
 
-Re-runs the correlation -> distance -> tree pipeline over sliding
-observation windows and quantifies topology change between trees by
-edge survival: the fraction of endpoint pairs two trees share.
+Re-runs the correlation -> distance -> tree pipeline over row spans of a
+panel (sliding windows, or the two segments of a split) and quantifies
+topology change between trees by edge survival: the fraction of
+endpoint pairs two trees share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .correlation import pearson_matrix
 from .distance import to_distance
 from .errors import ComparisonError, SchemaError, SizeError
-from .mst import SpanningTree, _prim_trees, build_mst
+from .mst import SpanningTree, _prim_trees
+from .mst import build_mst  # noqa: F401  (benchmark/tracer.py hooks dynamics.build_mst)
 from .panel import TimeSeriesPanel
 
 # Byte budget of the distance-matrix stack one batched tree run takes
@@ -41,7 +42,7 @@ class WindowSpec:
 
 @dataclass(frozen=True, eq=False)
 class TreeSequence:
-    """Trees built per window, aligned with their (start, end) index spans."""
+    """Trees built per row span, aligned with their (start, end) index spans."""
 
     assets: tuple[str, ...]
     windows: tuple[tuple[int, int], ...]
@@ -84,32 +85,36 @@ def rolling_trees(
     """One spanning tree per window [k*step, k*step + width).
 
     Window count is floor((T - width) / step) + 1; trailing observations
-    that do not fill a window are dropped. The windows' distance matrices
-    are gathered into a bounded stack (16 windows at n = 300), and each
-    full stack's trees come from one batched Prim run.
+    that do not fill a window are dropped.
     """
     n_obs = returns.n_obs
     if n_obs < window.width:
-        raise SizeError(
-            f"window width {window.width} exceeds series length {n_obs}"
-        )
+        raise SizeError(f"window width {window.width} exceeds series length {n_obs}")
     count = (n_obs - window.width) // window.step + 1
+    spans = [(k * window.step, k * window.step + window.width) for k in range(count)]
+    return _span_trees(returns, spans, min_overlap)
+
+
+def _span_trees(
+    returns: TimeSeriesPanel, spans: list[tuple[int, int]], min_overlap: int
+) -> TreeSequence:
+    """The spanning tree of each row span [start, end), built in span order.
+
+    The spans' distance matrices fill a bounded stack (16 spans at n = 300),
+    and each full stack's trees come from one batched Prim run.
+    """
     n = returns.n_assets
-    stack = np.empty((min(count, max(1, _STACK_BYTES // (8 * n * n))), n, n))
-    spans: list[tuple[int, int]] = []
+    stack = np.empty((min(len(spans), max(1, _STACK_BYTES // (8 * n * n))), n, n))
     trees: list[SpanningTree] = []
-    for k in range(count):
-        start = k * window.step
-        end = start + window.width
+    for k, (start, end) in enumerate(spans):
         sub = TimeSeriesPanel(
             returns.assets, returns.timestamps[start:end], returns.values[start:end]
         )
         dist = to_distance(pearson_matrix(sub, min_overlap=min_overlap))
         filled = k % len(stack)
         stack[filled] = dist.d
-        if filled == len(stack) - 1 or k == count - 1:
+        if filled == len(stack) - 1 or k == len(spans) - 1:
             trees += _prim_trees(returns.assets, stack[: filled + 1])
-        spans.append((start, end))
     return TreeSequence(returns.assets, tuple(spans), tuple(trees))
 
 
@@ -124,23 +129,17 @@ def edge_survival(a: SpanningTree, b: SpanningTree) -> float:
     return len(shared) / (a.n_assets - 1)
 
 
-class SplitComparison(NamedTuple):
-    before: SpanningTree
-    after: SpanningTree
-    survival: float
-
-
 def split_compare(
     returns: TimeSeriesPanel, split_index: int, *, min_overlap: int = 3
-) -> SplitComparison:
-    """Trees for the segments [0, split) and [split, T) plus their edge survival."""
+) -> TreeSequence:
+    """Trees for the segments [0, split) and [split, T).
+
+    ``before, after = split.trees``; their edge survival is
+    ``split.survival_vs_previous()[1]``.
+    """
     n_obs = returns.n_obs
     if split_index < 3 or n_obs - split_index < 3:
         raise SizeError(
             f"split at {split_index} leaves a segment shorter than 3 of {n_obs} observations"
         )
-    head = TimeSeriesPanel(returns.assets, returns.timestamps[:split_index], returns.values[:split_index])
-    tail = TimeSeriesPanel(returns.assets, returns.timestamps[split_index:], returns.values[split_index:])
-    before = build_mst(to_distance(pearson_matrix(head, min_overlap=min_overlap)))
-    after = build_mst(to_distance(pearson_matrix(tail, min_overlap=min_overlap)))
-    return SplitComparison(before, after, edge_survival(before, after))
+    return _span_trees(returns, [(0, split_index), (split_index, n_obs)], min_overlap)

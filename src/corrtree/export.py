@@ -46,13 +46,12 @@ def _dot_quote(label: str) -> str:
 
 def export_dot(tree: SpanningTree) -> str:
     """Undirected DOT graph: nodes sorted by label, edges in construction order."""
+    quoted = {label: _dot_quote(label) for label in tree.assets}
     lines = ["graph mst {"]
     for label in sorted(tree.assets):
-        lines.append(f"  {_dot_quote(label)};")
+        lines.append(f"  {quoted[label]};")
     for e in tree.edges:
-        lines.append(
-            f"  {_dot_quote(e.a)} -- {_dot_quote(e.b)} [label=\"{e.weight:.4f}\"];"
-        )
+        lines.append(f"  {quoted[e.a]} -- {quoted[e.b]} [label=\"{e.weight:.4f}\"];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -65,10 +64,11 @@ def export_graphml(tree: SpanningTree) -> str:
         '  <key id="w" for="edge" attr.name="weight" attr.type="double"/>',
         '  <graph id="mst" edgedefault="undirected">',
     ]
+    quoted = {label: _quoteattr(label) for label in tree.assets}
     for label in sorted(tree.assets):
-        lines.append(f"    <node id={_quoteattr(label)}/>")
+        lines.append(f"    <node id={quoted[label]}/>")
     for e in tree.edges:
-        lines.append(f"    <edge source={_quoteattr(e.a)} target={_quoteattr(e.b)}>")
+        lines.append(f"    <edge source={quoted[e.a]} target={quoted[e.b]}>")
         lines.append(f'      <data key="w">{_escape(repr(float(e.weight)))}</data>')
         lines.append("    </edge>")
     lines.append("  </graph>")

@@ -96,11 +96,10 @@ class _UnionFind:
 
 
 def build_mst(dist: DistanceMatrix) -> SpanningTree:
-    """Greedy shortest-edge-first spanning tree construction.
+    """Prim's algorithm: the batched kernel on a stack of one matrix.
 
-    Candidate edges are ordered by (distance, smaller label, larger
-    label); the edges come out in the order a shortest-edge-first scan
-    that skips edges closing a cycle would accept them. Output is
+    Edges come out in the order Kruskal's algorithm would accept them
+    under the key (distance, smaller label, larger label). Output is
     deterministic for identical input bytes.
     """
     n = dist.n_assets
@@ -119,6 +118,8 @@ def _prim_trees(labels: tuple[str, ...], stack: np.ndarray) -> list[SpanningTree
     lexrank = np.empty(n, dtype=np.int64)
     lexrank[sorted(range(n), key=labels.__getitem__)] = np.arange(n)
     heads, tails = _prim(stack, lexrank)
+    # Index order first: a DistanceMatrix may hold -0.0 and +0.0 across the
+    # diagonal, and the weight bytes must not depend on which end joined first.
     i, j = np.minimum(heads, tails), np.maximum(heads, tails)
     weights = stack[np.arange(len(stack))[:, None], i, j]
     order = np.lexsort((_pair_key(lexrank, i, j), weights), axis=-1)

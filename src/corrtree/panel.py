@@ -52,7 +52,7 @@ class TimeSeriesPanel:
     def __post_init__(self) -> None:
         assets = tuple(self.assets)
         timestamps = tuple(self.timestamps)
-        values = np.array(self.values, dtype=float)
+        values = np.array(self.values, dtype=float, order="C")
         object.__setattr__(self, "assets", assets)
         object.__setattr__(self, "timestamps", timestamps)
         object.__setattr__(self, "values", values)

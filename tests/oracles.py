@@ -1,12 +1,12 @@
 """Reference implementations the shipped kernels are held to exactly.
 
 These are the straightforward forms of the library's kernels: Kruskal
-over every candidate pair, Prim on one matrix at a time (alone and per
-rolling window), exhaustive enumeration of spanning trees through their
-Prufer sequences, agglomeration by a full ``argmin`` over the working
-matrix at each step, a replay of the tree's edges that finds
-each endpoint's cluster by a linear search, a breadth-first walk from
-every root for the ultrametric, row-by-row ranking, and the
+over every candidate pair, Prim on one matrix at a time (alone, per
+rolling window and per split segment), exhaustive enumeration of
+spanning trees through their Prufer sequences, agglomeration by a full
+``argmin`` over the working matrix at each step, a replay of the tree's
+edges that finds each endpoint's cluster by a linear search, a
+breadth-first walk from every root for the ultrametric, row-by-row ranking, and the
 pairwise-complete correlation one pair at a time, and the census over
 the upper triangle. They are slow and
 memory-hungry by design; tests compare the vectorised kernels with them
@@ -43,6 +43,8 @@ from corrtree import (
     TreeEdge,
     TreeSequence,
     WindowSpec,
+    build_mst,
+    edge_survival,
     pearson_matrix,
     to_distance,
 )
@@ -191,6 +193,24 @@ def rolling_trees_loop(
         trees.append(prim_mst_compacted(to_distance(corr)))
         spans.append((start, end))
     return TreeSequence(returns.assets, tuple(spans), tuple(trees))
+
+
+# Splits before they shared the span path of rolling windows: one
+# build_mst call per segment.
+def split_compare_pair(
+    returns: TimeSeriesPanel, split_index: int, *, min_overlap: int = 3
+) -> tuple[SpanningTree, SpanningTree, float]:
+    """Trees for the segments [0, split) and [split, T) plus their edge survival."""
+    n_obs = returns.n_obs
+    if split_index < 3 or n_obs - split_index < 3:
+        raise SizeError(
+            f"split at {split_index} leaves a segment shorter than 3 of {n_obs} observations"
+        )
+    head = TimeSeriesPanel(returns.assets, returns.timestamps[:split_index], returns.values[:split_index])
+    tail = TimeSeriesPanel(returns.assets, returns.timestamps[split_index:], returns.values[split_index:])
+    before = build_mst(to_distance(pearson_matrix(head, min_overlap=min_overlap)))
+    after = build_mst(to_distance(pearson_matrix(tail, min_overlap=min_overlap)))
+    return before, after, edge_survival(before, after)
 
 
 def _decode_prufer(seq: Iterable[int], n: int) -> list[tuple[int, int]]:

@@ -12,7 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corrtree.cli
-from corrtree import census, load_panel, matrix_csv, pearson_matrix, raw_signal
+from corrtree import (
+    TimeSeriesPanel,
+    census,
+    dump_panel,
+    load_panel,
+    matrix_csv,
+    pearson_matrix,
+    raw_signal,
+    rebase,
+)
 from corrtree.cli import main
 from helpers import child_env
 from test_panel import fuzz_text
@@ -397,6 +406,27 @@ class TestSignalsAndRebase:
         assert main(["census", str(panel), "--rebase", "EUR"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["n"] == 3  # GBP, JPY and the USD unit column
+
+    @pytest.mark.parametrize("missing", [False, True], ids=["complete", "missing"])
+    def test_rebase_run_equals_run_on_reloaded_rebased_panel(self, tmp_path, capsys, missing):
+        # the rebased panel is built by hstack; its bytes must not depend on that layout
+        rng = np.random.default_rng(13)
+        quotes = np.exp(0.05 * rng.standard_normal((80, 12))).cumprod(axis=0)
+        if missing:
+            quotes[:, 1:][rng.random((80, 11)) < 0.03] = np.nan
+        fx = tuple(f"C{i:02d}" for i in range(12))
+        dump_panel(TimeSeriesPanel(fx, tuple(range(80)), quotes), tmp_path / "fx.csv")
+        rebased = rebase(load_panel(tmp_path / "fx.csv"), "C00", numeraire="USD")
+        dump_panel(rebased, tmp_path / "rebased.csv")
+        runs = []
+        for name, extra in (("fx.csv", ["--rebase", "C00"]), ("rebased.csv", [])):
+            outdir = tmp_path / f"out_{name}"
+            argv = ["run", str(tmp_path / name), *extra, "--outdir", str(outdir), "--width", "30"]
+            assert main([*argv, "--step", "10", "--formats", "csv,dot,graphml,newick,json"]) == 0
+            files = sorted(p for p in outdir.rglob("*") if p.is_file())
+            runs.append(([(p.relative_to(outdir), p.read_bytes()) for p in files], capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert len(runs[0][0]) > 7
 
     def test_rebase_unknown_label(self, panel_path):
         assert main(["census", str(panel_path), "--signal", "raw", "--rebase", "XXX"]) == 2

@@ -79,6 +79,17 @@ class TestPearson:
         moved = pearson_matrix(returns(y * scale + shift)).rho
         assert np.max(np.abs(base - moved)) <= 1e-10
 
+    @pytest.mark.parametrize("missing", [False, True], ids=["complete", "missing"])
+    def test_bytes_ignore_memory_layout(self, missing):
+        # column sums of a Fortran-ordered array round differently
+        rng = np.random.default_rng(31)
+        y = 0.01 * rng.standard_normal((250, 30)) + 0.001
+        if missing:
+            y[rng.random(y.shape) < 0.02] = np.nan
+        c_order = pearson_matrix(returns(np.ascontiguousarray(y))).rho
+        f_order = pearson_matrix(returns(np.asfortranarray(y))).rho
+        assert f_order.tobytes() == c_order.tobytes()
+
 
 class TestPairwiseComplete:
     def test_matches_per_pair_loop(self):

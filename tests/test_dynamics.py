@@ -187,14 +187,15 @@ class TestSplitCompare:
         rng = np.random.default_rng(10)
         half = rng.standard_normal((25, 5))
         r = returns(np.vstack([half, half]))
-        before, after, survival = split_compare(r, 25)
-        assert survival == 1.0
+        split = split_compare(r, 25)
+        before, after = split.trees
+        assert split.survival_vs_previous()[1] == 1.0
         assert before.edges == after.edges
 
     def test_segments_are_panel_slices(self):
         rng = np.random.default_rng(12)
         r = TimeSeriesPanel(labels(4), tuple(range(100, 112)), rng.standard_normal((12, 4)))
-        before, after, _ = split_compare(r, 5)
+        before, after = split_compare(r, 5).trees
         for tree, rows in ((before, slice(5)), (after, slice(5, None))):
             part = TimeSeriesPanel(r.assets, r.timestamps[rows], r.values[rows])
             assert tree.edges == build_mst(to_distance(pearson_matrix(part))).edges
@@ -232,7 +233,7 @@ class TestSplitCompare:
             perm = np.random.default_rng(seed).permutation(10)
             r_switch = returns(np.vstack([ya, yb[:, perm]]))
             r_static = returns(np.vstack([ya, yb]))
-            switched.append(split_compare(r_switch, 200).survival)
-            stationary.append(split_compare(r_static, 200).survival)
+            switched.append(split_compare(r_switch, 200).survival_vs_previous()[1])
+            stationary.append(split_compare(r_static, 200).survival_vs_previous()[1])
         gap = np.mean(stationary) - np.mean(switched)
         assert gap > 0.1

@@ -5,18 +5,30 @@ import pytest
 
 from corrtree import (
     CorrTreeError,
+    DegenerateAssetError,
     Dendrogram,
     DistanceMatrix,
+    FactorModelSpec,
+    InsufficientDataError,
     Merge,
     SpanningTree,
     TimeSeriesPanel,
     WindowSpec,
     build_mst,
+    export_dot,
+    export_graphml,
     export_newick,
+    generate,
+    log_returns,
+    pearson_matrix,
     rank_signal,
+    raw_signal,
     rolling_trees,
     single_linkage,
+    split_compare,
     subdominant_ultrametric,
+    to_distance,
+    zscore,
 )
 from corrtree import dynamics
 from corrtree.mst import _prim_trees
@@ -30,6 +42,7 @@ from oracles import (
     prim_mst_compacted,
     replay_merges,
     rolling_trees_loop,
+    split_compare_pair,
 )
 
 
@@ -135,6 +148,38 @@ def test_merges_ignore_column_order():
         assert label_merges(single_linkage(build_mst(permuted))) == label_merges(
             single_linkage(build_mst(dist))
         )
+
+
+@pytest.mark.parametrize("signal", [log_returns, raw_signal, zscore], ids=lambda f: f.__name__)
+def test_missing_data_pipeline_ignores_column_order(signal):
+    # Complete panels are not covered: their BLAS Gram may round a
+    # permuted column's entries differently in the last bits.
+    spec = FactorModelSpec((("A", 10), ("B", 10), ("C", 10)), 0.7, 0.6, 300, 5)
+    rng = np.random.default_rng(3)
+    g = generate(spec)
+    prices = np.exp(np.cumsum(0.02 * g.values, axis=0))
+    prices[rng.random(prices.shape) < 0.01] = np.nan
+    base = TimeSeriesPanel(g.assets, g.timestamps, prices)
+
+    def pipeline(panel):
+        corr = pearson_matrix(signal(panel))
+        tree = build_mst(to_distance(corr))
+        dendrogram = single_linkage(tree)
+        return corr.rho, tree, dendrogram, subdominant_ultrametric(dendrogram).d
+
+    rho, tree, dendrogram, ultra = pipeline(base)
+    for _ in range(20):
+        perm = rng.permutation(base.n_assets)
+        back = np.ix_(np.argsort(perm), np.argsort(perm))
+        permuted = TimeSeriesPanel(
+            tuple(base.assets[p] for p in perm), base.timestamps, base.values[:, perm]
+        )
+        p_rho, p_tree, p_dendrogram, p_ultra = pipeline(permuted)
+        assert export_dot(p_tree) == export_dot(tree)
+        assert export_graphml(p_tree) == export_graphml(tree)
+        assert p_rho[back].tobytes() == rho.tobytes()
+        assert p_ultra[back].tobytes() == ultra.tobytes()
+        assert label_merges(p_dendrogram) == label_merges(dendrogram)
 
 
 def test_rank_signal_matches_row_loop():
@@ -252,3 +297,45 @@ def test_rolling_nonfinite_distance_in_middle_window_matches_loop(monkeypatch):
         outcomes.append((type(info.value), str(info.value)))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][1] == "non-finite distance inf between 'S00' and 'S02'"
+
+
+def split_panel(kind: str, n_obs: int) -> TimeSeriesPanel:
+    rng = np.random.default_rng(60 + n_obs)
+    if kind == "untied":
+        return returns(rng.standard_normal((n_obs, 6)))
+    r = tied_returns(rng, n_obs, 6)
+    if kind == "tied":
+        return r
+    y = r.values.copy()
+    y[rng.random(y.shape) < 0.08] = np.nan
+    return TimeSeriesPanel(r.assets, r.timestamps, y)
+
+
+@pytest.mark.parametrize("kind", ["tied", "untied", "missing"])
+@pytest.mark.parametrize("n_obs", [23, 24])
+def test_split_matches_per_segment_oracle(kind, n_obs, monkeypatch):
+    r = split_panel(kind, n_obs)
+    for budget in (dynamics._STACK_BYTES, window_bytes(6)):  # one stack; a stack per segment
+        monkeypatch.setattr(dynamics, "_STACK_BYTES", budget)
+        for split_index in (n_obs // 2, 7):
+            got = split_compare(r, split_index)
+            before, after, survival = split_compare_pair(r, split_index)
+            assert got.windows == ((0, split_index), (split_index, n_obs))
+            assert [tree_bytes(t) for t in got.trees] == [tree_bytes(before), tree_bytes(after)]
+            assert got.survival_vs_previous()[1] == survival
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_split_error_in_both_segments_is_the_heads(chunk, monkeypatch):
+    y = np.random.default_rng(15).standard_normal((20, 5))
+    y[:10, 3] = 1.5  # zero variance in the head
+    y[10:18, 1] = np.nan  # S01 keeps 2 of the tail's 10 rows
+    with pytest.raises(InsufficientDataError):
+        pearson_matrix(returns(y[10:]))
+    monkeypatch.setattr(dynamics, "_STACK_BYTES", chunk * window_bytes(5))
+    outcomes = []
+    for build in (split_compare, split_compare_pair):
+        with pytest.raises(CorrTreeError) as info:
+            build(returns(y), 10)
+        outcomes.append((type(info.value), str(info.value)))
+    assert outcomes[0] == outcomes[1] == (DegenerateAssetError, "asset 'S03' has zero variance")

@@ -17,6 +17,11 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
         ["factor_recovery.py", "--groups", "2x4", "--loadings", "0.8", "--noises", "0.4",
          "--length", "80", "--seeds", "2"],
         ["rolling_survival.py", "--length", "240", "--width", "60", "--step", "30", "--seeds", "2"],
+        pytest.param(
+            ["rolling_survival.py", "--length", "241", "--width", "60", "--step", "30",
+             "--seeds", "2"],
+            id="rolling_survival.py-odd-length",
+        ),
         ["rebase_frames.py", "--length", "80"],
     ],
     ids=lambda argv: argv[0],
