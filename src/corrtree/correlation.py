@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAssetError, DomainError, InsufficientDataError, SchemaError
-from .panel import TimeSeriesPanel
+from .panel import TimeSeriesPanel, _adopt, _check_unique
 from .transforms import _unit_scaled
 
 STRONG_THRESHOLD = 0.5
@@ -33,7 +33,7 @@ _NORMAL = (np.finfo(float).tiny, np.finfo(float).max)  # float64's normal range
 
 @dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
-    """Symmetric correlation matrix with unit diagonal, entries in [-1, 1]."""
+    """Symmetric correlation matrix with unit diagonal, entries in [-1, 1], distinct labels."""
 
     assets: tuple[str, ...]
     rho: np.ndarray
@@ -56,6 +56,7 @@ class CorrelationMatrix:
             raise SchemaError("correlation diagonal must be exactly 1")
         if np.abs(rho).max() > 1.0:
             raise SchemaError("correlation entries must lie in [-1, 1]")
+        _check_unique(assets)
         rho.setflags(write=False)
 
     @property
@@ -96,7 +97,7 @@ def pearson_matrix(returns: TimeSeriesPanel, min_overlap: int = 3) -> Correlatio
         rho = _full_sample(returns)
     rho = np.clip((rho + rho.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(rho, 1.0)
-    return CorrelationMatrix(returns.assets, rho)
+    return _adopt(CorrelationMatrix, returns.assets, rho)
 
 
 def _sqrt_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,11 +15,12 @@ import numpy as np
 
 from .correlation import CorrelationMatrix
 from .errors import DomainError, SchemaError
+from .panel import _adopt, _check_unique
 
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Symmetric, finite, non-negative matrix with zero diagonal, indexed by asset labels."""
+    """Symmetric, finite, non-negative matrix with zero diagonal over distinct asset labels."""
 
     assets: tuple[str, ...]
     d: np.ndarray
@@ -45,6 +46,7 @@ class DistanceMatrix:
             raise DomainError(
                 f"non-finite distance {float(d[i, j])!r} between {assets[i]!r} and {assets[j]!r}"
             )
+        _check_unique(assets)
         d.setflags(write=False)
 
     @property
@@ -57,4 +59,4 @@ def to_distance(corr: CorrelationMatrix) -> DistanceMatrix:
     d = 1.0 - corr.rho
     d *= 2.0
     np.sqrt(d, out=d)  # the unit diagonal maps to +0.0
-    return DistanceMatrix(corr.assets, d)
+    return _adopt(DistanceMatrix, corr.assets, d)

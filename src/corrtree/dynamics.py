@@ -17,7 +17,7 @@ from .distance import to_distance
 from .errors import ComparisonError, SchemaError, SizeError
 from .mst import SpanningTree, _prim_trees
 from .mst import build_mst  # noqa: F401  (benchmark/tracer.py hooks dynamics.build_mst)
-from .panel import TimeSeriesPanel
+from .panel import TimeSeriesPanel, _adopt
 
 # Byte budget of the distance-matrix stack one batched tree run takes
 # (16 windows at n = 300); a larger stack saves little time and adds RSS.
@@ -107,15 +107,15 @@ def _span_trees(
     stack = np.empty((min(len(spans), max(1, _STACK_BYTES // (8 * n * n))), n, n))
     trees: list[SpanningTree] = []
     for k, (start, end) in enumerate(spans):
-        sub = TimeSeriesPanel(
-            returns.assets, returns.timestamps[start:end], returns.values[start:end]
-        )
+        rows = slice(start, end)
+        sub = _adopt(TimeSeriesPanel, returns.assets, returns.timestamps[rows], returns.values[rows])
         dist = to_distance(pearson_matrix(sub, min_overlap=min_overlap))
         filled = k % len(stack)
         stack[filled] = dist.d
         if filled == len(stack) - 1 or k == len(spans) - 1:
             trees += _prim_trees(returns.assets, stack[: filled + 1])
-    return TreeSequence(returns.assets, tuple(spans), tuple(trees))
+    windows = tuple((int(s), int(e)) for s, e in spans)  # a split index may be a numpy integer
+    return _adopt(TreeSequence, returns.assets, windows, tuple(trees))
 
 
 def edge_survival(a: SpanningTree, b: SpanningTree) -> float:

@@ -107,15 +107,21 @@ def export_newick(dendrogram: Dendrogram) -> str:
     return text[root] + ":0.0;\n"
 
 
+class _RowText:
+    """A stand-in file: ``csv.writer(_RowText()).writerow`` returns the row's text."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
 def matrix_csv(labels: Sequence[str], values: np.ndarray) -> str:
     """Square matrix as CSV with a label header row and column."""
-    values = np.asarray(values)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow([""] + list(labels))
-    for label, row in zip(labels, values):
-        writer.writerow([label] + [repr(float(v)) for v in row])
-    return buffer.getvalue()
+    row_text = csv.writer(_RowText(), lineterminator="\n").writerow
+    lines = [row_text(["", *labels])]
+    for label, row in zip(labels, np.asarray(values, dtype=float)):
+        # the label cell with csv's quoting and its comma; repr texts need no quoting
+        lines.append(row_text([label, ""])[:-1] + ",".join(map(repr, row.tolist())) + "\n")
+    return "".join(lines)
 
 
 def survival_csv(sequence: TreeSequence) -> str:

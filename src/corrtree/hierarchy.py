@@ -19,6 +19,7 @@ import numpy as np
 from .distance import DistanceMatrix
 from .errors import DomainError, SchemaError
 from .mst import SpanningTree, _UnionFind
+from .panel import _adopt
 
 
 class Merge(NamedTuple):
@@ -112,4 +113,4 @@ def subdominant_ultrametric(dendrogram: Dendrogram) -> DistanceMatrix:
         dhat[left[:, None], right] = m.height
         dhat[right[:, None], left] = m.height
         members[n + k] = np.concatenate((left, right))
-    return DistanceMatrix(dendrogram.leaves, dhat)
+    return _adopt(DistanceMatrix, dendrogram.leaves, dhat)

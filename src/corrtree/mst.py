@@ -20,6 +20,7 @@ import numpy as np
 
 from .distance import DistanceMatrix
 from .errors import SchemaError, SizeError, UnknownAssetError
+from .panel import _adopt
 
 
 class TreeEdge(NamedTuple):
@@ -111,8 +112,8 @@ def build_mst(dist: DistanceMatrix) -> SpanningTree:
 def _prim_trees(labels: tuple[str, ...], stack: np.ndarray) -> list[SpanningTree]:
     """The spanning tree of each matrix in a (W, n, n) stack over shared labels.
 
-    Each matrix must hold the entries of a valid :class:`DistanceMatrix`;
-    :func:`build_mst` is the one-matrix case.
+    Each matrix must hold the entries of a valid :class:`DistanceMatrix`,
+    so its tree needs no check; :func:`build_mst` is the one-matrix case.
     """
     n = len(labels)
     lexrank = np.empty(n, dtype=np.int64)
@@ -127,7 +128,7 @@ def _prim_trees(labels: tuple[str, ...], stack: np.ndarray) -> list[SpanningTree
     first = np.where(lexrank[i] < lexrank[j], i, j)  # the endpoint whose label sorts first
     name = labels.__getitem__
     return [
-        SpanningTree(labels, tuple(zip(map(name, a), map(name, b), w)))
+        _adopt(SpanningTree, labels, tuple(map(TreeEdge, map(name, a), map(name, b), w)))
         for a, b, w in zip(first.tolist(), (i + j - first).tolist(), weights.tolist())
     ]
 

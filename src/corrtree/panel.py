@@ -24,13 +24,14 @@ import re
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import PanelParseError, SchemaError, UnknownAssetError
 
 Timestamp = int | str
+_T = TypeVar("_T")
 
 # what errors="surrogateescape" makes of a byte that is not valid UTF-8
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
@@ -61,9 +62,7 @@ class TimeSeriesPanel:
             raise SchemaError(f"a panel needs at least 2 assets, got {len(assets)}")
         if any(not isinstance(a, str) or not a for a in assets):
             raise SchemaError("asset labels must be non-empty strings")
-        if len(set(assets)) != len(assets):
-            dup = sorted({a for a in assets if assets.count(a) > 1})
-            raise SchemaError(f"duplicate asset label(s): {dup}")
+        _check_unique(assets)
         if not timestamps:
             raise SchemaError("a panel needs at least one observation row")
         _validate_keys(timestamps)
@@ -116,6 +115,22 @@ class TimeSeriesPanel:
                 row.append(missing_marker if np.isnan(v) else repr(float(v)))
             writer.writerow(row)
         return buf.getvalue()
+
+
+def _adopt(cls: type[_T], *fields: object) -> _T:
+    """``cls(*fields)`` without its checks or copies, for outputs that pass every check."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, fields, strict=True):
+        if isinstance(value, np.ndarray):  # read-only, as the public constructor leaves it
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _check_unique(assets: tuple[str, ...]) -> None:
+    if len(set(assets)) != len(assets):
+        dup = sorted({a for a in assets if assets.count(a) > 1})
+        raise SchemaError(f"duplicate asset label(s): {dup}")
 
 
 def _validate_keys(timestamps: Sequence[Timestamp]) -> None:

@@ -17,12 +17,14 @@ dendrogram's partition at a height have no library counterpart; the
 tests use them on data-derived distances and trees. The two-pass panel
 loader reads the whole file before it checks any cell; it gives the same
 panel or the same error as the streaming loader on files with at most
-one fault.
+one fault. ``revalidate`` puts a library output through the public
+constructor whose checks its producer skipped.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -623,3 +625,37 @@ def load_panel_two_pass(
         keys = list(range(len(values)))
 
     return TimeSeriesPanel(tuple(labels), tuple(keys), values)
+
+
+# Library producers hand their outputs over without the public checks;
+# every output must pass them unchanged.
+def revalidate(obj: object) -> object:
+    """Rebuild a container through its public constructor, which runs every check.
+
+    Asserts that each rebuilt field equals ``obj``'s in type and bytes
+    (signed zeros and NaN payloads included) and that ``obj``'s arrays
+    are read-only; a TreeSequence's trees are revalidated too. Returns
+    ``obj``.
+    """
+    given = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    rebuilt = type(obj)(*given)
+    for value, field in zip(given, dataclasses.fields(rebuilt)):
+        _assert_same(value, getattr(rebuilt, field.name))
+    if isinstance(obj, TreeSequence):
+        for tree in obj.trees:
+            revalidate(tree)
+    return obj
+
+
+def _assert_same(value: object, checked: object) -> None:
+    assert type(value) is type(checked), (value, checked)
+    if isinstance(value, np.ndarray):
+        assert not value.flags.writeable
+        assert (value.dtype, value.shape) == (checked.dtype, checked.shape)
+        assert value.tobytes() == checked.tobytes()
+    elif isinstance(value, tuple):
+        assert len(value) == len(checked)
+        for a, b in zip(value, checked):
+            _assert_same(a, b)
+    else:
+        assert value is checked or repr(value) == repr(checked), (value, checked)

@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 
 import corrtree.cli
 from corrtree import (
+    CorrelationMatrix,
+    Dendrogram,
+    DistanceMatrix,
+    SpanningTree,
     TimeSeriesPanel,
+    TreeSequence,
     census,
     dump_panel,
     load_panel,
@@ -190,6 +195,37 @@ class TestRunCommand:
         assert (windows / "tree_002.dot").is_file()
         assert not (windows / "tree_003.dot").exists()
 
+    def test_containers_checked_only_at_the_boundary(self, panel_path, tmp_path, monkeypatch):
+        """A windowed run checks the ingested panel, the signal panel and the dendrogram.
+
+        Every other container comes from a producer that hands over what it
+        builds. ``single_linkage`` keeps the public check, because only
+        ``Dendrogram`` rejects a hand-built tree's non-finite weight.
+        """
+        counts = dict.fromkeys(
+            (TimeSeriesPanel, CorrelationMatrix, DistanceMatrix, SpanningTree, Dendrogram, TreeSequence),
+            0,
+        )
+        for cls in counts:
+            def counted(self, check=cls.__post_init__):
+                counts[type(self)] += 1
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        args = ["run", str(panel_path), "--signal", "rank", "--outdir", str(tmp_path / "out")]
+        args += ["--width", "40", "--step", "20"]
+        with redirect_stdout(io.StringIO()):
+            assert main(args) == 0
+        assert {cls.__name__: count for cls, count in counts.items()} == {
+            "TimeSeriesPanel": 2,
+            "CorrelationMatrix": 0,
+            "DistanceMatrix": 0,
+            "SpanningTree": 0,
+            "Dendrogram": 1,
+            "TreeSequence": 0,
+        }
+        assert len(list((tmp_path / "out" / "windows").glob("tree_*.dot"))) == 5
+
 
 class TestMatrixCommands:
     def test_corr_to_file_matches_library(self, panel_path, tmp_path):
@@ -351,13 +387,15 @@ class TestExtremeScale:
         assert not (tmp_path / "arts").exists()
 
 
+EXTREME_CELLS = st.sampled_from(["1e300", "-1e200", "1e-320", "NA", "", "1", "2.5", "-3", "0.75"])
+
+
 @st.composite
-def numeric_panels(draw):
+def numeric_panels(draw, max_assets=4, max_rows=8, cell=EXTREME_CELLS):
     """Small panels of extreme, tiny, ordinary and missing cells."""
-    n = draw(st.integers(2, 4))
-    cell = st.sampled_from(["1e300", "-1e200", "1e-320", "NA", "", "1", "2.5", "-3", "0.75"])
-    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=1, max_size=8))
-    lines = [",".join(["t", *"ABCD"[:n]])]
+    n = draw(st.integers(2, max_assets))
+    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=1, max_size=max_rows))
+    lines = [",".join(["t", *"ABCDEFGH"[:n]])]
     lines += [",".join([str(k), *row]) for k, row in enumerate(rows)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 

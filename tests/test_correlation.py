@@ -271,6 +271,10 @@ class TestMatrixValidation:
         with pytest.raises(SchemaError):
             CorrelationMatrix(("A",), np.array([[1.0]]))
 
+    def test_rejects_duplicate_labels(self):
+        with pytest.raises(SchemaError, match=r"^duplicate asset label\(s\): \['A'\]$"):
+            CorrelationMatrix(("A", "B", "A"), np.eye(3))
+
 
 class TestCensus:
     def test_boundaries(self):

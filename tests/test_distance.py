@@ -75,6 +75,10 @@ class TestDistanceMatrixValidation:
         with pytest.raises(SchemaError):
             DistanceMatrix(("A", "B"), d)
 
+    def test_rejects_duplicate_labels(self):
+        with pytest.raises(SchemaError, match=r"^duplicate asset label\(s\): \['A'\]$"):
+            DistanceMatrix(("A", "B", "A"), 1.0 - np.eye(3))
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_rejects_non_finite_entries(self, bad):
         d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, bad], [2.0, bad, 0.0]])

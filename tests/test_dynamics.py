@@ -23,6 +23,7 @@ from corrtree import (
 )
 from corrtree import dynamics
 from helpers import labels, returns
+from oracles import revalidate
 
 
 def path_tree(labels, weights=None):
@@ -207,6 +208,12 @@ class TestSplitCompare:
             split_compare(r, 2)
         with pytest.raises(SizeError):
             split_compare(r, 8)
+
+    def test_numpy_integer_split_gives_int_windows(self):
+        r = returns(np.random.default_rng(13).standard_normal((12, 4)))
+        split = split_compare(r, np.int64(5))
+        assert [type(i) for span in split.windows for i in span] == [int] * 4
+        revalidate(split)
 
     def test_membership_reshuffle_lowers_survival(self):
         # regime switch: group assignments are permuted at the split;

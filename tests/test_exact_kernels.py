@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrtree import (
     CorrTreeError,
@@ -19,6 +21,7 @@ from corrtree import (
     export_graphml,
     export_newick,
     generate,
+    load_panel,
     log_returns,
     pearson_matrix,
     rank_signal,
@@ -41,9 +44,11 @@ from oracles import (
     mean_ranks_loop,
     prim_mst_compacted,
     replay_merges,
+    revalidate,
     rolling_trees_loop,
     split_compare_pair,
 )
+from test_cli import numeric_panels
 
 
 def tied_distance(rng: np.random.Generator, n: int) -> DistanceMatrix:
@@ -339,3 +344,52 @@ def test_split_error_in_both_segments_is_the_heads(chunk, monkeypatch):
             build(returns(y), 10)
         outcomes.append((type(info.value), str(info.value)))
     assert outcomes[0] == outcomes[1] == (DegenerateAssetError, "asset 'S03' has zero variance")
+
+
+def stage_outputs(path, signal) -> list:
+    """Every library output for one panel file; each chain stops at its first CorrTreeError."""
+    outputs = []
+
+    def chain(value, *steps):
+        for step in steps:
+            try:
+                value = step(value)
+            except CorrTreeError:
+                return
+            outputs.append(value)
+
+    chain(path, load_panel, signal)
+    if len(outputs) == 2:
+        signal_panel = outputs[1]
+        chain(signal_panel, lambda r: rolling_trees(r, WindowSpec(3)))
+        chain(signal_panel, lambda r: split_compare(r, 3))
+        chain(
+            signal_panel, pearson_matrix, to_distance, build_mst, single_linkage,
+            subdominant_ultrametric,
+        )
+    return outputs
+
+
+# The extreme cells stop most chains at the correlation; the other two
+# families reach every stage, the first under every signal, the second
+# with missing, signed, tied and subnormal cells.
+STAGE_PANELS = st.one_of(
+    numeric_panels(5, 12),
+    numeric_panels(5, 12, st.floats(0.25, 4.0).map(repr)),
+    numeric_panels(
+        5, 12, st.one_of(st.floats(-3.0, 3.0).map(repr), st.sampled_from(["NA", "1", "2", "5e-324"]))
+    ),
+)
+
+
+@settings(max_examples=300)
+@given(
+    body=STAGE_PANELS,
+    signal=st.sampled_from([log_returns, raw_signal, rank_signal, zscore]),
+)
+def test_adopted_outputs_pass_public_constructors(body, signal, tmp_path_factory):
+    """Each stage's output, handed over unchecked, passes its public constructor unchanged."""
+    path = tmp_path_factory.mktemp("adopt") / "panel.csv"
+    path.write_bytes(body)
+    for output in stage_outputs(path, signal):
+        revalidate(output)

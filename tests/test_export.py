@@ -251,6 +251,20 @@ class TestMatrixCsv:
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0][1] == "A,x"
 
+    def test_bytes_equal_csv_writer(self):
+        """Labels that need quoting, -0.0, NaN, subnormal and integer cells."""
+        labels = ["a,b", 'q"q', "n\nl", "c\rr", "t\tb", " lead", "\u00e9", ""]
+        n = len(labels)
+        d = np.random.default_rng(9).standard_normal((n, n))
+        d[0, 1], d[1, 0], d[2, 3] = -0.0, np.nan, 5e-324
+        for values in (d, np.arange(n * n).reshape(n, n)):
+            buffer = io.StringIO()
+            writer = csv.writer(buffer, lineterminator="\n")
+            writer.writerow(["", *labels])
+            for label, row in zip(labels, values):
+                writer.writerow([label, *(repr(float(v)) for v in row)])
+            assert matrix_csv(labels, values) == buffer.getvalue()
+
 
 class TestSurvivalCsv:
     def test_header_and_blank_first_entry(self):
