@@ -2,7 +2,8 @@
 
 Every subcommand that reads a panel is a view of one staged pipeline
 (``_run_stages``): it runs the stages its artifacts need, in order, and
-writes their text (``_artifact_text``).
+writes their text, both read from one table (``_ARTIFACTS``), through
+one all-or-nothing writer (``_write_artifacts``).
 
 Exit codes: 0 success, 1 bad command line, 2 data/domain error (bad
 input file, degenerate series, unknown label, unreadable path),
@@ -12,12 +13,14 @@ input file, degenerate series, unknown label, unreadable path),
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from pathlib import Path
 from typing import Any, Callable, Collection, Sequence
 
 from .correlation import census, pearson_matrix
-from .distance import to_distance
+from .distance import DistanceMatrix, to_distance
 from .dynamics import TreeSequence, WindowSpec, rolling_trees
 from .errors import CorrTreeError, GeneratorSpecError
 from .export import export_dot, export_graphml, export_newick, matrix_csv, survival_csv
@@ -34,29 +37,26 @@ _SIGNALS: dict[str, Callable[[TimeSeriesPanel], TimeSeriesPanel]] = {
     "zscore": zscore,
 }
 
-EXPORT_FORMATS = ("dot", "graphml", "newick", "csv", "json")
-
 _STAGES = ("returns", "corr", "dist", "tree", "dendrogram")
 
-# artifact file name -> the last pipeline stage its text reads
-_ARTIFACT_STAGE = {
-    "corr.csv": "corr",
-    "dist.csv": "dist",
-    "ultrametric.csv": "dendrogram",
-    "mst.dot": "tree",
-    "mst.graphml": "tree",
-    "dendrogram.nwk": "dendrogram",
-    "census.json": "corr",
+
+def _distance_csv(dist: DistanceMatrix) -> str:
+    return matrix_csv(dist.assets, dist.d)
+
+
+# artifact file name -> (its ``run --formats`` entry, the last stage its text reads, its text);
+# each text looks its functions up as module globals when it is called
+_ARTIFACTS: dict[str, tuple[str, str, Callable[[dict[str, Any]], str]]] = {
+    "mst.dot": ("dot", "tree", lambda s: export_dot(s["tree"])),
+    "mst.graphml": ("graphml", "tree", lambda s: export_graphml(s["tree"])),
+    "dendrogram.nwk": ("newick", "dendrogram", lambda s: export_newick(s["dendrogram"])),
+    "corr.csv": ("csv", "corr", lambda s: matrix_csv(s["corr"].assets, s["corr"].rho)),
+    "dist.csv": ("csv", "dist", lambda s: _distance_csv(s["dist"])),
+    "ultrametric.csv": ("csv", "dendrogram", lambda s: _distance_csv(subdominant_ultrametric(s["dendrogram"]))),
+    "census.json": ("json", "corr", lambda s: census(s["corr"]).to_json() + "\n"),
 }
 
-# ``run --formats`` entry -> the artifacts it selects
-_FORMAT_ARTIFACTS = {
-    "csv": ("corr.csv", "dist.csv", "ultrametric.csv"),
-    "dot": ("mst.dot",),
-    "graphml": ("mst.graphml",),
-    "newick": ("dendrogram.nwk",),
-    "json": ("census.json",),
-}
+EXPORT_FORMATS = tuple(dict.fromkeys(fmt for fmt, _, _ in _ARTIFACTS.values()))
 
 
 def _run_stages(args: argparse.Namespace, last: str) -> dict[str, Any]:
@@ -83,27 +83,7 @@ def _run_stages(args: argparse.Namespace, last: str) -> dict[str, Any]:
     return stages
 
 
-def _artifact_text(name: str, stages: dict[str, Any]) -> str:
-    """Text of the artifact file ``name`` (a key of :data:`_ARTIFACT_STAGE`)."""
-    if name == "corr.csv":
-        return matrix_csv(stages["corr"].assets, stages["corr"].rho)
-    if name == "dist.csv":
-        return matrix_csv(stages["dist"].assets, stages["dist"].d)
-    if name == "ultrametric.csv":
-        dhat = subdominant_ultrametric(stages["dendrogram"])
-        return matrix_csv(dhat.assets, dhat.d)
-    if name == "mst.dot":
-        return export_dot(stages["tree"])
-    if name == "mst.graphml":
-        return export_graphml(stages["tree"])
-    if name == "dendrogram.nwk":
-        return export_newick(stages["dendrogram"])
-    return census(stages["corr"]).to_json() + "\n"  # census.json
-
-
-def _window_artifacts(
-    directory: Path, sequence: TreeSequence, formats: Collection[str]
-) -> dict[Path, str]:
+def _window_artifacts(directory: Path, sequence: TreeSequence, formats: Collection[str]) -> dict[Path, str]:
     artifacts = {directory / "survival.csv": survival_csv(sequence)}
     pad = max(3, len(str(len(sequence) - 1)))
     for k, tree in enumerate(sequence.trees):
@@ -115,10 +95,35 @@ def _window_artifacts(
     return artifacts
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _write_artifacts(files: dict[Path, str]) -> None:
+    """Write every file, or on ``OSError`` remove what this call made and leave the rest as found.
+
+    Each text goes to a temporary file beside its target (past symlinks), and all are
+    renamed into place once all are written. A device or pipe is written in place.
+    """
+    made: list[Path] = []  # directories this call creates, innermost first
+    staged: dict[Path, Path] = {}  # target -> its temporary file
+    try:
+        for path, text in files.items():
+            made[:0] = [d for d in path.parents if not d.is_dir()]
+            path.parent.mkdir(parents=True, exist_ok=True)
+            temp = path
+            if not path.exists() or path.is_file():  # a device or pipe cannot be renamed over
+                target = Path(os.path.realpath(path))
+                temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+                staged[target] = temp
+            with open(temp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        for target, temp in staged.items():
+            os.replace(temp, target)
+    except OSError:
+        for temp in staged.values():
+            with contextlib.suppress(OSError):
+                temp.unlink()
+        for directory in made:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
 
 
 # ---------------------------------------------------------------- commands
@@ -127,49 +132,40 @@ def _write_text(path: Path, text: str) -> None:
 def _cmd_view(args: argparse.Namespace) -> int:
     """``corr``, ``dist``, ``mst``, ``dendro`` and ``census``: one artifact to ``--out``."""
     name = f"mst.{args.format}" if args.command == "mst" else args.artifact
-    stages = _run_stages(args, _ARTIFACT_STAGE[name])
-    text = _artifact_text(name, stages)
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        _write_text(Path(args.out), text)
+    paths = {name: args.out}
     if getattr(args, "ultrametric", None) is not None:
-        _write_text(Path(args.ultrametric), _artifact_text("ultrametric.csv", stages))
+        paths["ultrametric.csv"] = args.ultrametric
+    stages = _run_stages(args, max((_ARTIFACTS[n][1] for n in paths), key=_STAGES.index))
+    texts = {n: _ARTIFACTS[n][2](stages) for n in paths}
+    stdout = texts.pop(name) if args.out == "-" else ""
+    _write_artifacts({Path(paths[n]): text for n, text in texts.items()})
+    sys.stdout.write(stdout)
     return 0
 
 
 def _cmd_dynamics(args: argparse.Namespace) -> int:
     returns = _run_stages(args, "returns")["returns"]
-    sequence = rolling_trees(
-        returns, WindowSpec(args.width, args.step), min_overlap=args.min_overlap
-    )
-    for path, text in _window_artifacts(Path(args.outdir), sequence, (args.format,)).items():
-        _write_text(path, text)
+    sequence = rolling_trees(returns, WindowSpec(args.width, args.step), min_overlap=args.min_overlap)
+    _write_artifacts(_window_artifacts(Path(args.outdir), sequence, (args.format,)))
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """Every artifact of ``--formats`` (and the windows) composed in memory, then written.
 
-    A failing stage therefore leaves no partial output. The census
-    record goes to standard output either way.
+    A failing stage or write therefore leaves no partial output. The
+    census record goes to standard output either way.
     """
     window = WindowSpec(args.width, args.step) if args.width is not None else None
     # the whole chain runs for every --formats, so its errors do not depend on them
-    stages = _run_stages(args, "dendrogram")
-    line = _artifact_text("census.json", stages)
+    stages = _run_stages(args, _STAGES[-1])
     out = Path(args.outdir)
-    artifacts = {
-        out / name: line if name == "census.json" else _artifact_text(name, stages)
-        for fmt, names in _FORMAT_ARTIFACTS.items()
-        if fmt in args.formats
-        for name in names
-    }
+    artifacts = {out / name: text(stages) for name, (fmt, _, text) in _ARTIFACTS.items() if fmt in args.formats}
+    line = artifacts.get(out / "census.json") or _ARTIFACTS["census.json"][2](stages)
     if window is not None:
         sequence = rolling_trees(stages["returns"], window, min_overlap=args.min_overlap)
         artifacts.update(_window_artifacts(out / "windows", sequence, args.formats))
-    for path, text in artifacts.items():
-        _write_text(path, text)
+    _write_artifacts(artifacts)
     sys.stdout.write(line)
     return 0
 
@@ -271,12 +267,6 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_out_option(parser: argparse.ArgumentParser, what: str) -> None:
-    parser.add_argument(
-        "--out", default="-", metavar="PATH", help=f"{what} destination ('-' for stdout)"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="corrtree",
@@ -284,37 +274,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("corr", help="write the correlation matrix as CSV")
-    _add_input_options(p)
-    _add_out_option(p, "matrix CSV")
-    p.set_defaults(func=_cmd_view, artifact="corr.csv")
-
-    p = sub.add_parser("dist", help="write the distance matrix as CSV")
-    _add_input_options(p)
-    _add_out_option(p, "matrix CSV")
-    p.set_defaults(func=_cmd_view, artifact="dist.csv")
-
-    p = sub.add_parser("mst", help="write the minimal spanning tree")
-    _add_input_options(p)
-    p.add_argument("--format", choices=("dot", "graphml"), default="dot")
-    _add_out_option(p, "graph")
-    p.set_defaults(func=_cmd_view)
-
-    p = sub.add_parser("dendro", help="write the single-linkage dendrogram as Newick")
-    _add_input_options(p)
-    _add_out_option(p, "Newick tree")
-    p.add_argument(
-        "--ultrametric",
-        metavar="PATH",
-        default=None,
-        help="also write the subdominant ultrametric matrix CSV here",
-    )
-    p.set_defaults(func=_cmd_view, artifact="dendrogram.nwk")
-
-    p = sub.add_parser("census", help="print correlation-level counts as JSON")
-    _add_input_options(p)
-    _add_out_option(p, "JSON record")
-    p.set_defaults(func=_cmd_view, artifact="census.json")
+    for command, artifact, summary, what in (
+        ("corr", "corr.csv", "write the correlation matrix as CSV", "matrix CSV"),
+        ("dist", "dist.csv", "write the distance matrix as CSV", "matrix CSV"),
+        ("mst", None, "write the minimal spanning tree", "graph"),
+        ("dendro", "dendrogram.nwk", "write the single-linkage dendrogram as Newick", "Newick tree"),
+        ("census", "census.json", "print correlation-level counts as JSON", "JSON record"),
+    ):
+        p = sub.add_parser(command, help=summary)
+        _add_input_options(p)
+        if command == "mst":
+            p.add_argument("--format", choices=("dot", "graphml"), default="dot")
+        p.add_argument("--out", default="-", metavar="PATH", help=f"{what} destination ('-' for stdout)")
+        if command == "dendro":
+            p.add_argument("--ultrametric", metavar="PATH", default=None,
+                           help="also write the subdominant ultrametric matrix CSV here")
+        p.set_defaults(func=_cmd_view, artifact=artifact)
 
     p = sub.add_parser("dynamics", help="rolling-window trees and edge survival")
     _add_input_options(p)
@@ -342,13 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full pipeline: matrices, tree, dendrogram, census")
     _add_input_options(p)
     p.add_argument("--outdir", required=True, metavar="DIR", help="artifact directory")
-    p.add_argument(
-        "--formats",
-        type=_formats_argument,
-        default=EXPORT_FORMATS,
-        metavar="LIST",
-        help=f"comma list from {{{','.join(EXPORT_FORMATS)}}} (default: all)",
-    )
+    p.add_argument("--formats", type=_formats_argument, default=EXPORT_FORMATS, metavar="LIST",
+                   help=f"comma list from {{{','.join(EXPORT_FORMATS)}}} (default: all)")
     p.add_argument("--width", type=_int_at_least(3), default=None,
                    help="optional rolling window width; enables per-window outputs")
     p.add_argument("--step", type=_int_at_least(1), default=1,
@@ -366,10 +336,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except CorrTreeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CorrTreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -95,7 +95,9 @@ def pearson_matrix(returns: TimeSeriesPanel, min_overlap: int = 3) -> Correlatio
                 f"{obs.shape[0]} observations < min_overlap {min_overlap}"
             )
         rho = _full_sample(returns)
-    rho = np.clip((rho + rho.T) / 2.0, -1.0, 1.0)
+    rho += rho.T
+    rho /= 2.0
+    np.clip(rho, -1.0, 1.0, out=rho)
     np.fill_diagonal(rho, 1.0)
     return _adopt(CorrelationMatrix, returns.assets, rho)
 
@@ -125,18 +127,20 @@ def _check_spread(returns: TimeSeriesPanel, sumsq: np.ndarray) -> None:
 
 
 def _full_sample(returns: TimeSeriesPanel) -> np.ndarray:
-    obs = _unit_scaled(returns.values)
-    t = obs.shape[0]
+    centered = _unit_scaled(returns.values)  # a new array, so it is centred in place
+    t = centered.shape[0]
     with np.errstate(all="ignore"):
-        centered = obs - obs.mean(axis=0)
-        centered = centered - centered.mean(axis=0)
-        gram = (centered.T @ centered) / t
+        centered -= centered.mean(axis=0)
+        centered -= centered.mean(axis=0)
+        gram = centered.T @ centered
+        gram /= t
     var = np.diag(gram).copy()
     _check_spread(returns, var)
     for i, v in enumerate(var):
         if v == 0.0:
             raise DegenerateAssetError(f"asset {returns.assets[i]!r} has zero variance")
-    return gram / _sqrt_product(var[:, None], var[None, :])
+    gram /= _sqrt_product(var[:, None], var[None, :])
+    return gram
 
 
 def _pairwise_complete(returns: TimeSeriesPanel, min_overlap: int) -> np.ndarray:

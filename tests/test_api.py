@@ -2,9 +2,12 @@
 
 import importlib
 import importlib.util
+import io
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import corrtree
+import corrtree.cli
 
 PUBLIC = [
     "ComparisonError",
@@ -86,12 +89,17 @@ def test_removed_names_are_gone():
     assert not hasattr(corrtree.Dendrogram, "partition_at")
 
 
-def test_benchmark_hooks_resolve():
-    """Every library name the benchmark's tracer wraps still exists and is callable."""
+def _tracer():
     path = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
     spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_hooks_resolve():
+    """Every library name the benchmark's tracer wraps still exists and is callable."""
+    tracer = _tracer()
     assert tracer.HOOKS
     for targets in tracer.HOOKS.values():
         for module_name, attr in targets:
@@ -100,3 +108,38 @@ def test_benchmark_hooks_resolve():
                 assert module._SIGNALS and all(map(callable, module._SIGNALS.values()))
             else:
                 assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_cli_calls_the_hooked_names(tmp_path, monkeypatch):
+    """A windowed all-format ``run`` calls every ``corrtree.cli`` name the tracer wraps.
+
+    The wrappers replace the module attributes, as the tracer does, so a
+    caller holding a function object taken at import time bypasses them.
+    """
+    tracer = _tracer()
+    calls = {}
+
+    def counted(attr, fn):
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for targets in tracer.HOOKS.values():
+        for module_name, attr in targets:
+            if module_name != "corrtree.cli":
+                continue
+            calls[attr] = 0
+            if attr == tracer.SIGNALS:
+                for key, fn in corrtree.cli._SIGNALS.items():
+                    monkeypatch.setitem(corrtree.cli._SIGNALS, key, counted(attr, fn))
+            else:
+                monkeypatch.setattr(corrtree.cli, attr, counted(attr, getattr(corrtree.cli, attr)))
+    panel = tmp_path / "panel.csv"
+    synth = ["synth", "--groups", "2x4", "--loading", "0.8", "--noise", "0.6", "--length", "120"]
+    assert corrtree.cli.main([*synth, "--out", str(panel)]) == 0
+    args = ["run", str(panel), "--signal", "raw", "--width", "40", "--step", "20"]
+    with redirect_stdout(io.StringIO()):
+        assert corrtree.cli.main([*args, "--outdir", str(tmp_path / "out")]) == 0
+    assert calls and all(calls.values()), calls

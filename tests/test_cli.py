@@ -26,6 +26,7 @@ from corrtree import (
     pearson_matrix,
     raw_signal,
     rebase,
+    to_distance,
 )
 from corrtree.cli import main
 from helpers import child_env
@@ -156,15 +157,47 @@ class TestRunCommand:
         assert not out.exists()
         assert "error" in capsys.readouterr().err
 
-    def test_format_subset(self, panel_path, tmp_path):
-        out = tmp_path / "json_only"
+    @pytest.mark.parametrize("fmt", corrtree.cli.EXPORT_FORMATS)
+    def test_format_subset(self, panel_path, tmp_path, capsys, fmt):
+        out = tmp_path / f"{fmt}_only"
         code = main(
-            ["run", str(panel_path), "--signal", "raw", "--outdir", str(out), "--formats", "json"]
+            ["run", str(panel_path), "--signal", "raw", "--outdir", str(out), "--formats", fmt]
         )
         assert code == 0
-        assert (out / "census.json").is_file()
-        assert not (out / "corr.csv").exists()
-        assert not (out / "mst.dot").exists()
+        selected = {name for name, (entry, _, _) in corrtree.cli._ARTIFACTS.items() if entry == fmt}
+        assert {p.name for p in out.iterdir()} == selected
+        record = json.loads(capsys.readouterr().out)
+        assert record["n"] == 8
+
+    def test_failed_write_leaves_outdir_as_found(self, panel_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "windows").write_text("in the way\n")
+        args = ["run", str(panel_path), "--signal", "raw", "--width", "40", "--outdir", str(out)]
+        assert main(args) == 2
+        assert "error" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["windows"]
+        assert (out / "windows").read_text() == "in the way\n"
+        (out / "windows").unlink()
+        assert main(args) == 0  # an existing --outdir is written into
+        assert (out / "corr.csv").is_file() and (out / "windows" / "survival.csv").is_file()
+
+    def test_matrix_csvs_round_trip(self, tmp_path):
+        """``load_panel`` reads ``corr.csv`` and ``dist.csv`` back to the labels and the exact doubles."""
+        names = ('A "quoted"', "B,comma", "C plain", "D' tick")  # sorted, as row keys must be
+        rng = np.random.default_rng(4)
+        panel = TimeSeriesPanel(names, tuple(range(60)), rng.standard_normal((60, 4)) + rng.standard_normal((60, 1)))
+        path = tmp_path / "panel.csv"
+        dump_panel(panel, path)
+        out = tmp_path / "arts"
+        with redirect_stdout(io.StringIO()):
+            assert main(["run", str(path), "--signal", "raw", "--formats", "csv", "--outdir", str(out)]) == 0
+        corr = pearson_matrix(raw_signal(load_panel(path)))
+        for name, expected in (("corr.csv", corr.rho), ("dist.csv", to_distance(corr).d)):
+            back = load_panel(out / name)
+            assert back.assets == names and back.timestamps == names
+            assert back.values.tobytes() == expected.tobytes(), name
+        assert np.diag(back.values).tobytes() == np.zeros(len(names)).tobytes()  # dist.csv: +0.0
 
     def test_bad_format_list_is_usage_error(self, panel_path, tmp_path):
         code = main(

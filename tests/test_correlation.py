@@ -1,5 +1,6 @@
 """Pearson correlation estimation and the correlation census."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -89,6 +90,18 @@ class TestPearson:
         c_order = pearson_matrix(returns(np.ascontiguousarray(y))).rho
         f_order = pearson_matrix(returns(np.asfortranarray(y))).rho
         assert f_order.tobytes() == c_order.tobytes()
+
+    def test_complete_data_peak_memory(self):
+        """The Gram is centred, scaled and symmetrised in place: about 2.5 results at the peak."""
+        rng = np.random.default_rng(8)
+        r = returns(rng.standard_normal((100, 400)) + rng.standard_normal((100, 1)))
+        tracemalloc.start()
+        try:
+            rho = pearson_matrix(r).rho
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * rho.nbytes
 
 
 class TestPairwiseComplete:
