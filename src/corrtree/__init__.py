@@ -38,7 +38,7 @@ from .errors import (
 from .export import export_dot, export_graphml, export_newick, matrix_csv, survival_csv
 from .hierarchy import Dendrogram, Merge, single_linkage, subdominant_ultrametric
 from .mst import SpanningTree, TreeEdge, build_mst, spans_connected_subtree
-from .panel import TimeSeriesPanel, dump_panel, load_panel
+from .panel import TimeSeriesPanel, load_panel
 from .synth import FactorModelSpec, generate, parse_group_spec
 from .transforms import log_returns, rank_signal, raw_signal, rebase, zscore
 
@@ -69,7 +69,6 @@ __all__ = [
     "WindowSpec",
     "build_mst",
     "census",
-    "dump_panel",
     "edge_survival",
     "export_dot",
     "export_graphml",

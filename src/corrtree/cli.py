@@ -2,8 +2,8 @@
 
 Every subcommand that reads a panel is a view of one staged pipeline
 (``_run_stages``): it runs the stages its artifacts need, in order, and
-writes their text, both read from one table (``_ARTIFACTS``), through
-one all-or-nothing writer (``_write_artifacts``).
+makes their text, both read from one table (``_ARTIFACTS``). Every file
+and all standard output leave through one all-or-nothing writer (``_write_artifacts``).
 
 Exit codes: 0 success, 1 bad command line, 2 data/domain error (bad
 input file, degenerate series, unknown label, unreadable path),
@@ -26,7 +26,7 @@ from .errors import CorrTreeError, GeneratorSpecError
 from .export import export_dot, export_graphml, export_newick, matrix_csv, survival_csv
 from .hierarchy import single_linkage, subdominant_ultrametric
 from .mst import build_mst
-from .panel import TimeSeriesPanel, dump_panel, load_panel
+from .panel import TimeSeriesPanel, load_panel
 from .synth import FactorModelSpec, generate, parse_group_spec
 from .transforms import log_returns, rank_signal, raw_signal, rebase, zscore
 
@@ -57,6 +57,7 @@ _ARTIFACTS: dict[str, tuple[str, str, Callable[[dict[str, Any]], str]]] = {
 }
 
 EXPORT_FORMATS = tuple(dict.fromkeys(fmt for fmt, _, _ in _ARTIFACTS.values()))
+_TREE_FORMATS = tuple(fmt for fmt, stage, _ in _ARTIFACTS.values() if stage == "tree")  # also the file suffix
 
 
 def _run_stages(args: argparse.Namespace, last: str) -> dict[str, Any]:
@@ -86,20 +87,19 @@ def _run_stages(args: argparse.Namespace, last: str) -> dict[str, Any]:
 def _window_artifacts(directory: Path, sequence: TreeSequence, formats: Collection[str]) -> dict[Path, str]:
     artifacts = {directory / "survival.csv": survival_csv(sequence)}
     pad = max(3, len(str(len(sequence) - 1)))
+    texts = [(fmt, _ARTIFACTS[f"mst.{fmt}"][2]) for fmt in _TREE_FORMATS if fmt in formats]
     for k, tree in enumerate(sequence.trees):
-        stem = f"tree_{k:0{pad}d}"
-        if "dot" in formats:
-            artifacts[directory / f"{stem}.dot"] = export_dot(tree)
-        if "graphml" in formats:
-            artifacts[directory / f"{stem}.graphml"] = export_graphml(tree)
+        for fmt, text in texts:
+            artifacts[directory / f"tree_{k:0{pad}d}.{fmt}"] = text({"tree": tree})
     return artifacts
 
 
-def _write_artifacts(files: dict[Path, str]) -> None:
+def _write_artifacts(files: dict[Path, str], stdout: str = "") -> None:
     """Write every file, or on ``OSError`` remove what this call made and leave the rest as found.
 
     Each text goes to a temporary file beside its target (past symlinks), and all are
     renamed into place once all are written. A device or pipe is written in place.
+    ``stdout`` is written to standard output once every file is in place.
     """
     made: list[Path] = []  # directories this call creates, innermost first
     staged: dict[Path, Path] = {}  # target -> its temporary file
@@ -124,22 +124,22 @@ def _write_artifacts(files: dict[Path, str]) -> None:
             with contextlib.suppress(OSError):
                 directory.rmdir()
         raise
+    sys.stdout.write(stdout)
 
 
 # ---------------------------------------------------------------- commands
 
 
 def _cmd_view(args: argparse.Namespace) -> int:
-    """``corr``, ``dist``, ``mst``, ``dendro`` and ``census``: one artifact to ``--out``."""
+    """The five views: each artifact to its destination, or to stdout in option order if ``-``."""
     name = f"mst.{args.format}" if args.command == "mst" else args.artifact
     paths = {name: args.out}
     if getattr(args, "ultrametric", None) is not None:
         paths["ultrametric.csv"] = args.ultrametric
     stages = _run_stages(args, max((_ARTIFACTS[n][1] for n in paths), key=_STAGES.index))
     texts = {n: _ARTIFACTS[n][2](stages) for n in paths}
-    stdout = texts.pop(name) if args.out == "-" else ""
-    _write_artifacts({Path(paths[n]): text for n, text in texts.items()})
-    sys.stdout.write(stdout)
+    files = {Path(path): texts[n] for n, path in paths.items() if path != "-"}
+    _write_artifacts(files, "".join(texts[n] for n, path in paths.items() if path == "-"))
     return 0
 
 
@@ -165,8 +165,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if window is not None:
         sequence = rolling_trees(stages["returns"], window, min_overlap=args.min_overlap)
         artifacts.update(_window_artifacts(out / "windows", sequence, args.formats))
-    _write_artifacts(artifacts)
-    sys.stdout.write(line)
+    _write_artifacts(artifacts, line)
     return 0
 
 
@@ -179,20 +178,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         seed=args.seed,
         global_loading=args.global_loading,
     )
-    dump_panel(generate(spec), args.out, delimiter=args.delimiter, missing_marker=args.missing)
+    text = generate(spec).to_csv(delimiter=args.delimiter, missing_marker=args.missing)
+    _write_artifacts({Path(args.out): text})
     return 0
 
 
 # ------------------------------------------------------------------ parser
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _int_at_least(minimum: int) -> Callable[[str], int]:
@@ -268,7 +259,7 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="corrtree",
         description="Correlation-based hierarchical taxonomies of time-series panels.",
     )
@@ -284,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=summary)
         _add_input_options(p)
         if command == "mst":
-            p.add_argument("--format", choices=("dot", "graphml"), default="dot")
+            p.add_argument("--format", choices=_TREE_FORMATS, default="dot")
         p.add_argument("--out", default="-", metavar="PATH", help=f"{what} destination ('-' for stdout)")
         if command == "dendro":
             p.add_argument("--ultrametric", metavar="PATH", default=None,
@@ -295,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(p)
     p.add_argument("--width", type=_int_at_least(3), required=True, help="window width in observations")
     p.add_argument("--step", type=_int_at_least(1), default=1, help="window step (default: %(default)s)")
-    p.add_argument("--format", choices=("dot", "graphml"), default="dot")
+    p.add_argument("--format", choices=_TREE_FORMATS, default="dot")
     p.add_argument("--outdir", required=True, metavar="DIR", help="directory for per-window files")
     p.set_defaults(func=_cmd_dynamics)
 
@@ -332,8 +323,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
     except (CorrTreeError, OSError) as exc:

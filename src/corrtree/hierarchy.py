@@ -79,7 +79,8 @@ def single_linkage(tree: SpanningTree) -> Dendrogram:
     The sort is stable, so a tree from :func:`build_mst` keeps its
     construction order and tied weights merge in it: (weight, smaller
     label, larger label). Merge k joins the clusters holding the edge's
-    endpoints at the edge's weight and creates cluster id n + k.
+    endpoints at the edge's weight and creates cluster id n + k. A valid
+    tree makes a valid dendrogram, so it is handed over unchecked.
     """
     labels = tree.assets
     n = len(labels)
@@ -95,7 +96,7 @@ def single_linkage(tree: SpanningTree) -> Dendrogram:
         merges.append(Merge(left, right, e.weight + 0.0))
         uf.union(ra, rb)
         cluster_id[uf.find(ra)] = n + k
-    return Dendrogram(labels, tuple(merges))
+    return _adopt(Dendrogram, labels, tuple(merges))
 
 
 def subdominant_ultrametric(dendrogram: Dendrogram) -> DistanceMatrix:

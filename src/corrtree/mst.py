@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .distance import DistanceMatrix
-from .errors import SchemaError, SizeError, UnknownAssetError
+from .errors import DomainError, SchemaError, SizeError, UnknownAssetError
 from .panel import _adopt
 
 
@@ -33,7 +33,8 @@ class TreeEdge(NamedTuple):
 class SpanningTree:
     """n-1 weighted edges connecting all assets, stored in construction order.
 
-    Endpoints within each edge are ordered ``a < b`` lexicographically.
+    Endpoints within each edge are ordered ``a < b`` lexicographically, and
+    each weight is finite and non-negative (``-0.0`` included).
     """
 
     assets: tuple[str, ...]
@@ -56,6 +57,8 @@ class SpanningTree:
                 raise SchemaError(f"edge {e.a!r} -- {e.b!r} references an unknown asset")
             if not e.a < e.b:
                 raise SchemaError(f"edge endpoints must satisfy a < b, got {e.a!r} -- {e.b!r}")
+            if not 0.0 <= e.weight < math.inf:
+                raise DomainError(f"edge {e.a!r} -- {e.b!r}: weight must be finite and >= 0, got {e.weight!r}")
             if not uf.union(index[e.a], index[e.b]):
                 raise SchemaError(f"edge {e.a!r} -- {e.b!r} closes a cycle")
 

@@ -272,18 +272,3 @@ def _coerce_keys(raw: Sequence[str]) -> list[Timestamp]:
         return [int(c) for c in raw]
     except ValueError:
         return list(raw)
-
-
-def dump_panel(
-    panel: TimeSeriesPanel,
-    path: str | Path,
-    *,
-    delimiter: str = ",",
-    missing_marker: str = "NA",
-) -> Path:
-    """Write ``panel`` to ``path`` in the format :func:`load_panel` reads."""
-    path = Path(path)
-    path.write_text(
-        panel.to_csv(delimiter=delimiter, missing_marker=missing_marker), encoding="utf-8"
-    )
-    return path

@@ -50,6 +50,12 @@ def panel(values, prefix: str = "S") -> TimeSeriesPanel:
     )
 
 
+def write_panel(p: TimeSeriesPanel, path: Path) -> Path:
+    """Write ``p`` to ``path`` in the format ``load_panel`` reads; return ``path``."""
+    path.write_text(p.to_csv(), encoding="utf-8")
+    return path
+
+
 def returns(values, prefix: str = "S") -> TimeSeriesPanel:
     """A signal panel: the values as given, labelled S00, S01, ... and timestamped 0, 1, ..."""
     return panel(values, prefix)

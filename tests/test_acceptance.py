@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 
 import corrtree as ct
-from helpers import child_env, corr_from_pairs, labels, panel, returns
+from helpers import child_env, corr_from_pairs, labels, panel, returns, write_panel
 from oracles import agglomerate_full_argmin, metric_axioms_unchunked, mst_oracle
 
 
@@ -243,7 +243,7 @@ def test_missing_data_bytes_independent_of_thread_count(tmp_path):
     for threads in (1, 4):
         workdir = tmp_path / f"threads{threads}"
         workdir.mkdir()
-        ct.dump_panel(panel(y), workdir / "panel.csv")
+        write_panel(panel(y), workdir / "panel.csv")
         stdouts.append(
             _run_cli(["run", "panel.csv", "--signal", "raw", "--outdir", "arts"], workdir, threads)
         )

@@ -20,7 +20,6 @@ from corrtree import (
     TimeSeriesPanel,
     TreeSequence,
     census,
-    dump_panel,
     load_panel,
     matrix_csv,
     pearson_matrix,
@@ -29,7 +28,7 @@ from corrtree import (
     to_distance,
 )
 from corrtree.cli import main
-from helpers import child_env
+from helpers import child_env, write_panel
 from test_panel import fuzz_text
 
 
@@ -175,7 +174,8 @@ class TestRunCommand:
         (out / "windows").write_text("in the way\n")
         args = ["run", str(panel_path), "--signal", "raw", "--width", "40", "--outdir", str(out)]
         assert main(args) == 2
-        assert "error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "error" in captured.err and captured.out == ""  # no census line without the files
         assert [p.name for p in out.iterdir()] == ["windows"]
         assert (out / "windows").read_text() == "in the way\n"
         (out / "windows").unlink()
@@ -188,7 +188,7 @@ class TestRunCommand:
         rng = np.random.default_rng(4)
         panel = TimeSeriesPanel(names, tuple(range(60)), rng.standard_normal((60, 4)) + rng.standard_normal((60, 1)))
         path = tmp_path / "panel.csv"
-        dump_panel(panel, path)
+        write_panel(panel, path)
         out = tmp_path / "arts"
         with redirect_stdout(io.StringIO()):
             assert main(["run", str(path), "--signal", "raw", "--formats", "csv", "--outdir", str(out)]) == 0
@@ -229,11 +229,11 @@ class TestRunCommand:
         assert not (windows / "tree_003.dot").exists()
 
     def test_containers_checked_only_at_the_boundary(self, panel_path, tmp_path, monkeypatch):
-        """A windowed run checks the ingested panel, the signal panel and the dendrogram.
+        """A windowed run checks only the ingested panel and the signal panel.
 
         Every other container comes from a producer that hands over what it
-        builds. ``single_linkage`` keeps the public check, because only
-        ``Dendrogram`` rejects a hand-built tree's non-finite weight.
+        builds. ``single_linkage`` needs no ``Dendrogram`` check, because
+        ``SpanningTree`` rejects a hand-built tree's non-finite or negative weight.
         """
         counts = dict.fromkeys(
             (TimeSeriesPanel, CorrelationMatrix, DistanceMatrix, SpanningTree, Dendrogram, TreeSequence),
@@ -254,10 +254,50 @@ class TestRunCommand:
             "CorrelationMatrix": 0,
             "DistanceMatrix": 0,
             "SpanningTree": 0,
-            "Dendrogram": 1,
+            "Dendrogram": 0,
             "TreeSequence": 0,
         }
         assert len(list((tmp_path / "out" / "windows").glob("tree_*.dot"))) == 5
+
+
+class TestOneWriter:
+    """Every file a subcommand leaves behind is a target of ``_write_artifacts``."""
+
+    def test_every_file_is_a_writer_target(self, tmp_path, monkeypatch, capsys):
+        targets = set()
+        write = corrtree.cli._write_artifacts
+
+        def recorded(files, *args):
+            targets.update(files)
+            return write(files, *args)
+
+        monkeypatch.setattr(corrtree.cli, "_write_artifacts", recorded)
+        panel = tmp_path / "panel.csv"
+        assert main(synth_args(panel)) == 0
+        common = [str(panel), "--signal", "raw"]
+        for args in (
+            ["run", *common, "--width", "40", "--step", "20", "--outdir", str(tmp_path / "run")],
+            ["dynamics", *common, "--width", "40", "--outdir", str(tmp_path / "dyn")],
+            ["corr", *common, "--out", str(tmp_path / "corr.csv")],
+            ["dendro", *common, "--out", str(tmp_path / "d.nwk"), "--ultrametric", str(tmp_path / "u.csv")],
+        ):
+            assert main(args) == 0, args
+        left = {path for path in tmp_path.rglob("*") if path.is_file()}
+        assert len(left) > 20
+        assert left <= targets
+
+    def test_synth_creates_parent_directories(self, tmp_path):
+        path = tmp_path / "a" / "b" / "p.csv"
+        assert main(synth_args(path)) == 0
+        assert load_panel(path).n_assets == 8
+
+    def test_synth_under_a_file_leaves_nothing(self, tmp_path, capsys):
+        blocker = tmp_path / "F"
+        blocker.write_text("in the way\n")
+        assert main(synth_args(blocker / "p.csv")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [path.name for path in tmp_path.iterdir()] == ["F"]
+        assert blocker.read_text() == "in the way\n"
 
 
 class TestMatrixCommands:
@@ -303,6 +343,19 @@ class TestMstAndDendro:
         assert code == 0
         assert capsys.readouterr().out.rstrip().endswith(";")
         assert upath.read_text().startswith(",G1_00,")
+
+    def test_dash_destinations_go_to_stdout_in_option_order(self, panel_path, tmp_path, monkeypatch, capsys):
+        nwk, upath = tmp_path / "d.nwk", tmp_path / "u.csv"
+        args = ["dendro", str(panel_path), "--signal", "raw"]
+        assert main([*args, "--out", str(nwk), "--ultrametric", str(upath)]) == 0
+        assert capsys.readouterr().out == ""
+        monkeypatch.chdir(tmp_path)
+        assert main([*args, "--out", "-", "--ultrametric", "-"]) == 0
+        assert capsys.readouterr().out == nwk.read_text() + upath.read_text()
+        assert main([*args, "--out", str(tmp_path / "e.nwk"), "--ultrametric", "-"]) == 0
+        assert capsys.readouterr().out == upath.read_text()
+        assert (tmp_path / "e.nwk").read_text() == nwk.read_text()
+        assert not (tmp_path / "-").exists()
 
 
 class TestDynamicsCommand:
@@ -486,9 +539,9 @@ class TestSignalsAndRebase:
         if missing:
             quotes[:, 1:][rng.random((80, 11)) < 0.03] = np.nan
         fx = tuple(f"C{i:02d}" for i in range(12))
-        dump_panel(TimeSeriesPanel(fx, tuple(range(80)), quotes), tmp_path / "fx.csv")
+        write_panel(TimeSeriesPanel(fx, tuple(range(80)), quotes), tmp_path / "fx.csv")
         rebased = rebase(load_panel(tmp_path / "fx.csv"), "C00", numeraire="USD")
-        dump_panel(rebased, tmp_path / "rebased.csv")
+        write_panel(rebased, tmp_path / "rebased.csv")
         runs = []
         for name, extra in (("fx.csv", ["--rebase", "C00"]), ("rebased.csv", [])):
             outdir = tmp_path / f"out_{name}"
@@ -584,6 +637,15 @@ class TestUsage:
     def test_bad_delimiter(self, panel_path, capsys, delimiter):
         assert main(["census", str(panel_path), "--delimiter", delimiter]) == 1
         assert "exactly one character" in capsys.readouterr().err
+
+    def test_parser_exits_two_and_main_returns_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            corrtree.cli.build_parser().parse_args(["run", "x", "--formats", "bogus", "--outdir", "o"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: corrtree run ") and "corrtree run: error: argument --formats" in err
+        assert main(["run", "x", "--formats", "bogus", "--outdir", "o"]) == 1
+        assert capsys.readouterr().err == err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -104,6 +104,23 @@ class TestSpanningTreeValidation:
         with pytest.raises(SchemaError, match="a < b"):
             SpanningTree(("A", "B", "C"), edges)
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, -1.0, -5e-324])
+    def test_weight_must_be_finite_and_non_negative(self, weight):
+        edges = (TreeEdge("A", "B", 1.0), TreeEdge("B", "C", weight))
+        with pytest.raises(DomainError, match="'B' -- 'C': weight must be finite and >= 0"):
+            SpanningTree(("A", "B", "C"), edges)
+
+    def test_weight_checked_after_ordering_and_before_cycle(self):
+        with pytest.raises(SchemaError, match="a < b"):
+            SpanningTree(("A", "B"), (TreeEdge("B", "A", np.nan),))
+        edges = (TreeEdge("A", "B", 1.0), TreeEdge("A", "B", np.nan))
+        with pytest.raises(DomainError, match="weight"):
+            SpanningTree(("A", "B", "C"), edges)
+
+    def test_negative_zero_weight_accepted(self):
+        tree = SpanningTree(("A", "B"), (TreeEdge("A", "B", -0.0),))
+        assert np.signbit(tree.edges[0].weight)
+
 
 class TestOracle:
     def test_two_assets(self):

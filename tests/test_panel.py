@@ -14,9 +14,9 @@ from corrtree import (
     SchemaError,
     TimeSeriesPanel,
     UnknownAssetError,
-    dump_panel,
     load_panel,
 )
+from helpers import write_panel
 from oracles import load_panel_two_pass
 
 
@@ -71,7 +71,7 @@ class TestLoad:
         p = TimeSeriesPanel(
             ("A", "B"), (10, 20), np.array([[1.5, np.nan], [2.25, 4.0]])
         )
-        path = dump_panel(p, tmp_path / "p.csv")
+        path = write_panel(p, tmp_path / "p.csv")
         q = load_panel(path)
         assert q == p
 
@@ -210,7 +210,7 @@ def test_csv_round_trip_is_lossless(data, tmp_path_factory):
     p = TimeSeriesPanel(
         ("A", "B", "C"), tuple(range(len(data))), np.array(data, dtype=float)
     )
-    q = load_panel(dump_panel(p, tmp / "p.csv"))
+    q = load_panel(write_panel(p, tmp / "p.csv"))
     assert q == p
     assert q.timestamps == p.timestamps
 
