@@ -40,7 +40,7 @@ from .hierarchy import Dendrogram, Merge, single_linkage, subdominant_ultrametri
 from .mst import SpanningTree, TreeEdge, build_mst, spans_connected_subtree
 from .panel import TimeSeriesPanel, load_panel
 from .synth import FactorModelSpec, generate, parse_group_spec
-from .transforms import log_returns, rank_signal, raw_signal, rebase, zscore
+from .transforms import log_returns, rank_signal, raw_signal, rebase
 
 __version__ = "0.1.0"
 
@@ -89,5 +89,4 @@ __all__ = [
     "subdominant_ultrametric",
     "survival_csv",
     "to_distance",
-    "zscore",
 ]

@@ -28,13 +28,12 @@ from .hierarchy import single_linkage, subdominant_ultrametric
 from .mst import build_mst
 from .panel import TimeSeriesPanel, load_panel
 from .synth import FactorModelSpec, generate, parse_group_spec
-from .transforms import log_returns, rank_signal, raw_signal, rebase, zscore
+from .transforms import log_returns, rank_signal, raw_signal, rebase
 
 _SIGNALS: dict[str, Callable[[TimeSeriesPanel], TimeSeriesPanel]] = {
     "log-return": log_returns,
     "raw": raw_signal,
     "rank": rank_signal,
-    "zscore": zscore,
 }
 
 _STAGES = ("returns", "corr", "dist", "tree", "dendrogram")
@@ -136,6 +135,10 @@ def _cmd_view(args: argparse.Namespace) -> int:
     paths = {name: args.out}
     if getattr(args, "ultrametric", None) is not None:
         paths["ultrametric.csv"] = args.ultrametric
+        same = os.path.realpath(args.out)
+        if "-" not in paths.values() and os.path.realpath(args.ultrametric) == same:
+            print(f"error: --out and --ultrametric both name {same}", file=sys.stderr)
+            return 1
     stages = _run_stages(args, max((_ARTIFACTS[n][1] for n in paths), key=_STAGES.index))
     texts = {n: _ARTIFACTS[n][2](stages) for n in paths}
     files = {Path(path): texts[n] for n, path in paths.items() if path != "-"}

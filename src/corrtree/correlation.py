@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import DegenerateAssetError, DomainError, InsufficientDataError, SchemaError
 from .panel import TimeSeriesPanel, _adopt, _check_unique
-from .transforms import _unit_scaled
 
 STRONG_THRESHOLD = 0.5
 
@@ -100,6 +99,18 @@ def pearson_matrix(returns: TimeSeriesPanel, min_overlap: int = 3) -> Correlatio
     np.clip(rho, -1.0, 1.0, out=rho)
     np.fill_diagonal(rho, 1.0)
     return _adopt(CorrelationMatrix, returns.assets, rho)
+
+
+def _unit_scaled(x: np.ndarray) -> np.ndarray:
+    """``x`` with each column whose largest |x| is below 1/2 scaled up into [1/2, 1).
+
+    The factor is a power of two, so the scaling is exact and leaves
+    correlations unchanged; without it the squares of values below about
+    1e-154 go subnormal and lose their digits. Columns already at or above
+    that range keep their values.
+    """
+    _, exponent = np.frexp(np.fmax.reduce(np.abs(x), axis=0))
+    return np.ldexp(x, -np.minimum(exponent, 0))
 
 
 def _sqrt_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -246,24 +246,16 @@ def _parses_as_float(text: str) -> bool:
 
 
 def _decoded_lines(fh: Iterable[str], path: Path) -> Iterator[str]:
-    """Pass the lines of ``fh`` on, raising at the first with undecodable bytes."""
-    for line in fh:
-        if not line.isascii() and _UNDECODABLE.search(line):
-            raise _decode_error(path)
+    """Pass the lines of ``fh`` on, raising at the first with undecodable bytes.
+
+    Lines are numbered as the CSV reader numbers them: LF, CR LF and a
+    lone CR each end one.
+    """
+    for lineno, line in enumerate(fh, 1):
+        if not line.isascii() and (bad := _UNDECODABLE.search(line)):
+            byte = ord(bad.group()) - 0xDC00
+            raise PanelParseError(f"{path}: line {lineno}: byte 0x{byte:02x} is not valid UTF-8")
         yield line
-
-
-def _decode_error(path: Path) -> PanelParseError:
-    """Name the first line of ``path`` that is not valid UTF-8."""
-    data = path.read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        return PanelParseError(
-            f"{path}: line {lineno}: byte 0x{data[exc.start]:02x} is not valid UTF-8"
-        )
-    return PanelParseError(f"{path}: not valid UTF-8")  # changed since it was read
 
 
 def _coerce_keys(raw: Sequence[str]) -> list[Timestamp]:

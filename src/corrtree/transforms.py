@@ -1,32 +1,21 @@
 """Signal transforms feeding the correlation stage.
 
-Four signals are supported, each returning a panel of the input's
+Three signals are supported, each returning a panel of the input's
 assets: natural-log returns for price-like series, per-timestamp ranks
-for league-table data (1 = largest, ties get the mean rank), per-asset
-z-scores for survey traits (population divisor), and the raw values
-untouched. ``rebase`` re-expresses a panel
-of currency quotes in a different base currency; the tree built from
-such a panel depends on that choice of reference frame.
+for league-table data (1 = largest, ties get the mean rank), and the raw
+values untouched. No signal standardises a column: Pearson correlation
+already ignores each asset's shift and positive scale. ``rebase``
+re-expresses a panel of currency quotes in a different base currency;
+the tree built from such a panel depends on that choice of reference
+frame.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateAssetError, DomainError, SchemaError, SizeError, UnknownAssetError
+from .errors import DomainError, SchemaError, SizeError, UnknownAssetError
 from .panel import TimeSeriesPanel
-
-
-def _unit_scaled(x: np.ndarray) -> np.ndarray:
-    """``x`` with each column whose largest |x| is below 1/2 scaled up into [1/2, 1).
-
-    The factor is a power of two, so the scaling is exact and leaves
-    correlations and z-scores unchanged; without it the squares of values
-    below about 1e-154 go subnormal and lose their digits. Columns already
-    at or above that range keep their values.
-    """
-    _, exponent = np.frexp(np.fmax.reduce(np.abs(x), axis=0))
-    return np.ldexp(x, -np.minimum(exponent, 0))
 
 
 def log_returns(panel: TimeSeriesPanel) -> TimeSeriesPanel:
@@ -84,37 +73,6 @@ def rank_signal(panel: TimeSeriesPanel) -> TimeSeriesPanel:
     end = np.minimum.accumulate(np.where(closes, cols + 1, n)[:, ::-1], axis=1)[:, ::-1]
     out = np.empty_like(values)
     np.put_along_axis(out, order, (start + 1 + end) / 2.0, axis=1)
-    return TimeSeriesPanel(panel.assets, panel.timestamps, out)
-
-
-def zscore(panel: TimeSeriesPanel) -> TimeSeriesPanel:
-    """Shift each asset column to mean 0 and scale to population standard deviation 1.
-
-    Statistics are taken over present values only; missing cells stay
-    missing. Columns with fewer than 2 present values or zero variance
-    raise :class:`DegenerateAssetError`, and columns whose squared
-    deviations overflow float64 raise :class:`DomainError`.
-    """
-    values = panel.values
-    present = ~np.isnan(values)
-    counts = present.sum(axis=0)
-    for i, c in enumerate(counts):
-        if c < 2:
-            raise DegenerateAssetError(
-                f"asset {panel.assets[i]!r} has {int(c)} present value(s); need at least 2"
-            )
-    out = np.full(values.shape, np.nan)
-    for i in range(values.shape[1]):
-        col = _unit_scaled(values[present[:, i], i])
-        with np.errstate(all="ignore"):
-            centered = col - col.mean()
-            centered -= centered.mean()  # second pass kills the cancellation residue
-            sigma = np.sqrt(np.mean(centered**2))
-        if not np.isfinite(sigma):
-            raise DomainError(f"asset {panel.assets[i]!r}: squared deviations overflow float64")
-        if sigma == 0.0:
-            raise DegenerateAssetError(f"asset {panel.assets[i]!r} has zero variance")
-        out[present[:, i], i] = centered / sigma
     return TimeSeriesPanel(panel.assets, panel.timestamps, out)
 
 

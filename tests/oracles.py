@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import re
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,7 +60,7 @@ from corrtree.errors import (
     SizeError,
 )
 from corrtree.mst import _UnionFind
-from corrtree.panel import Timestamp, _coerce_keys, _decode_error
+from corrtree.panel import Timestamp, _coerce_keys
 
 ORACLE_MAX_ASSETS = 8
 
@@ -511,6 +512,17 @@ def census_triu(corr: CorrelationMatrix) -> CorrelationCensus:
     return CorrelationCensus(corr.n_assets, strong, weak, negative)
 
 
+def _undecodable_byte(path: Path) -> PanelParseError:
+    """Name the first byte of ``path`` that is not UTF-8 and its line, counted in the bytes before it."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(re.findall(rb"\r\n|\r|\n", data[: exc.start])) + 1
+        return PanelParseError(f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not valid UTF-8")
+    raise AssertionError(f"{path} decodes as UTF-8")
+
+
 # The panel loader before it streamed its rows: the whole file as a list
 # of rows, then a finiteness check through the positions of marker cells.
 def load_panel_two_pass(
@@ -555,7 +567,7 @@ def load_panel_two_pass(
             except csv.Error as exc:
                 raise PanelParseError(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
-        raise _decode_error(path) from None
+        raise _undecodable_byte(path) from None
     if not rows:
         raise PanelParseError(f"{path}: empty file")
 

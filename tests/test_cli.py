@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -27,7 +29,7 @@ from corrtree import (
     rebase,
     to_distance,
 )
-from corrtree.cli import main
+from corrtree.cli import _SIGNALS, main
 from helpers import child_env, write_panel
 from test_panel import fuzz_text
 
@@ -286,6 +288,15 @@ class TestOneWriter:
         assert len(left) > 20
         assert left <= targets
 
+    @pytest.mark.skipif(
+        not (os.path.exists("/dev/null") and stat.S_ISCHR(os.stat("/dev/null").st_mode)),
+        reason="/dev/null is not a character device here",
+    )
+    def test_device_is_written_in_place(self, panel_path, capsys):
+        assert main(["corr", str(panel_path), "--signal", "raw", "--out", "/dev/null"]) == 0
+        assert capsys.readouterr().out == ""
+        assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+
     def test_synth_creates_parent_directories(self, tmp_path):
         path = tmp_path / "a" / "b" / "p.csv"
         assert main(synth_args(path)) == 0
@@ -356,6 +367,20 @@ class TestMstAndDendro:
         assert capsys.readouterr().out == upath.read_text()
         assert (tmp_path / "e.nwk").read_text() == nwk.read_text()
         assert not (tmp_path / "-").exists()
+
+    def test_same_file_destinations_are_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the panel was read")
+
+        monkeypatch.setattr(corrtree.cli, "load_panel", refuse)
+        monkeypatch.chdir(tmp_path)
+        args = ["dendro", "panel.csv", "--out", "same.txt", "--ultrametric", "./same.txt"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        same = os.path.realpath(tmp_path / "same.txt")
+        assert captured.err == f"error: --out and --ultrametric both name {same}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDynamicsCommand:
@@ -459,7 +484,7 @@ class TestExtremeScale:
         assert abs(rows[1] - rows[0]) <= 1e-12
 
     @pytest.mark.parametrize("command", ["corr", "run"])
-    @pytest.mark.parametrize("signal", ["raw", "zscore"])
+    @pytest.mark.parametrize("signal", ["raw"])
     def test_overflowing_panel_names_the_asset(self, tmp_path, capsys, command, signal):
         path = self.write(tmp_path, "300")
         args = [command, str(path), "--signal", signal]
@@ -489,7 +514,7 @@ def numeric_panels(draw, max_assets=4, max_rows=8, cell=EXTREME_CELLS):
 @settings(max_examples=200)
 @given(
     body=st.one_of(fuzz_text, numeric_panels()),
-    signal=st.sampled_from(["log-return", "raw", "rank", "zscore"]),
+    signal=st.sampled_from(tuple(_SIGNALS)),
 )
 def test_fuzzed_panels_exit_cleanly(body, signal, tmp_path_factory):
     """Every input subcommand exits 0 in silence or 2 with one error line; never 3."""
@@ -514,7 +539,7 @@ def test_fuzzed_panels_exit_cleanly(body, signal, tmp_path_factory):
 
 
 class TestSignalsAndRebase:
-    @pytest.mark.parametrize("signal", ["raw", "rank", "zscore"])
+    @pytest.mark.parametrize("signal", ["raw", "rank"])
     def test_alternative_signals(self, panel_path, signal, capsys):
         assert main(["census", str(panel_path), "--signal", signal]) == 0
         json.loads(capsys.readouterr().out)
@@ -572,6 +597,7 @@ class TestBadInput:
         ("body", "message"),
         [
             (b"t,A,B\n0,1,2\n1,\xff,3\n", "line 3: byte 0xff is not valid UTF-8"),
+            (b"t,A,B\r0,1,2\r1,\xff,3\r", "line 3: byte 0xff is not valid UTF-8"),
             (b"t,A,B\n0,1,2\n1,inf,3\n2,2,4\n", "line 3: non-finite value 'inf' for asset 'A'"),
             (b"t,A,B\n0,1,NA\n1,2,nan\n2,2,4\n", "line 3: non-finite value 'nan' for asset 'B'"),
             pytest.param(
@@ -629,6 +655,13 @@ class TestUsage:
 
     def test_bad_signal_choice(self, panel_path):
         assert main(["census", str(panel_path), "--signal", "wavelet"]) == 1
+
+    def test_zscore_is_not_a_signal(self, panel_path, capsys):
+        """Pearson correlation ignores each column's shift and scale; ``--signal raw`` gives the same tree."""
+        assert main(["corr", str(panel_path), "--signal", "zscore"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --signal: invalid choice: 'zscore'" in captured.err
 
     def test_min_overlap_too_small(self, panel_path):
         assert main(["census", str(panel_path), "--min-overlap", "1"]) == 1

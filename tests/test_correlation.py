@@ -15,8 +15,10 @@ from corrtree import (
     DomainError,
     InsufficientDataError,
     SchemaError,
+    build_mst,
     census,
     pearson_matrix,
+    to_distance,
 )
 from helpers import corr_from_pairs, labels, returns
 from oracles import census_triu, pairwise_complete_loop
@@ -70,15 +72,24 @@ class TestPearson:
 
     @given(
         seed=st.integers(0, 2**31 - 1),
-        scale=st.floats(0.01, 100.0),
-        shift=st.floats(-50.0, 50.0),
+        scale=st.lists(st.floats(0.01, 100.0), min_size=4, max_size=4),
+        shift=st.lists(st.floats(-50.0, 50.0), min_size=4, max_size=4),
+        missing=st.booleans(),
     )
-    def test_affine_invariance(self, seed, scale, shift):
+    def test_affine_invariance(self, seed, scale, shift, missing):
+        """Each column's own positive scale and shift leave rho and the tree as they were.
+
+        This is why no signal standardises its columns.
+        """
         rng = np.random.default_rng(seed)
         y = rng.standard_normal((20, 4))
-        base = pearson_matrix(returns(y)).rho
-        moved = pearson_matrix(returns(y * scale + shift)).rho
-        assert np.max(np.abs(base - moved)) <= 1e-10
+        if missing:
+            y[rng.random(y.shape) < 0.1] = np.nan
+        base = pearson_matrix(returns(y))
+        moved = pearson_matrix(returns(y * np.array(scale) + np.array(shift)))
+        assert np.max(np.abs(base.rho - moved.rho)) <= 1e-10
+        tree = build_mst(to_distance(base))
+        assert build_mst(to_distance(moved)).edge_set() == tree.edge_set()
 
     @pytest.mark.parametrize("missing", [False, True], ids=["complete", "missing"])
     def test_bytes_ignore_memory_layout(self, missing):

@@ -31,9 +31,9 @@ from corrtree import (
     split_compare,
     subdominant_ultrametric,
     to_distance,
-    zscore,
 )
 from corrtree import dynamics
+from corrtree.cli import _SIGNALS
 from corrtree.mst import _prim_trees
 from helpers import random_data_distance, returns
 import oracles
@@ -155,7 +155,7 @@ def test_merges_ignore_column_order():
         )
 
 
-@pytest.mark.parametrize("signal", [log_returns, raw_signal, zscore], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("signal", [log_returns, raw_signal], ids=lambda f: f.__name__)
 def test_missing_data_pipeline_ignores_column_order(signal):
     # Complete panels are not covered: their BLAS Gram may round a
     # permuted column's entries differently in the last bits.
@@ -385,7 +385,7 @@ STAGE_PANELS = st.one_of(
 @settings(max_examples=300)
 @given(
     body=STAGE_PANELS,
-    signal=st.sampled_from([log_returns, raw_signal, rank_signal, zscore]),
+    signal=st.sampled_from(tuple(_SIGNALS.values())),
 )
 def test_adopted_outputs_pass_public_constructors(body, signal, tmp_path_factory):
     """Each stage's output, handed over unchecked, passes its public constructor unchanged."""

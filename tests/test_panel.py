@@ -278,7 +278,7 @@ def one_fault_csv(draw):
     if fault is not None:
         k = draw(st.integers(1, len(keys)))
         rows[k] = FAULTS[fault](rows[k])
-    newline = draw(st.sampled_from(["\n", "\n\n", "\r\n"]))  # "\n\n": a blank line after each row
+    newline = draw(st.sampled_from(["\n", "\n\n", "\r\n", "\r"]))  # "\n\n": a blank line after each row
     body = newline.join(",".join(row) for row in rows).encode("utf-8", "surrogateescape")
     return body, markers
 

@@ -1,4 +1,4 @@
-"""Signal transforms: log returns, ranks, z-scores, re-basing."""
+"""Signal transforms: log returns, ranks, re-basing."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from corrtree import (
-    DegenerateAssetError,
     DomainError,
     SchemaError,
     SizeError,
@@ -17,7 +16,6 @@ from corrtree import (
     rank_signal,
     raw_signal,
     rebase,
-    zscore,
 )
 from helpers import panel
 
@@ -77,7 +75,7 @@ class TestSignalPanels:
         assert r.assets == p.assets
         assert r.timestamps == p.timestamps[1:]
 
-    @pytest.mark.parametrize("signal", [rank_signal, zscore])
+    @pytest.mark.parametrize("signal", [rank_signal])
     def test_rank_and_zscore_keep_timestamps(self, signal):
         p = self.prices()
         r = signal(p)
@@ -120,48 +118,6 @@ class TestRawAndRank:
         rng = np.random.default_rng(3)
         r = rank_signal(panel(rng.standard_normal((20, 6))))
         assert np.allclose(r.values.sum(axis=1), 21.0)  # 1+2+...+6
-
-
-class TestZScore:
-    def test_frozen_three_point_column(self):
-        r = zscore(panel([[1.0, 5.0], [2.0, 5.5], [3.0, 6.0]]))
-        expected = 1.224744871391589  # sqrt(3/2)
-        assert abs(r.values[2, 0] - expected) < 1e-15
-        assert abs(r.values[0, 0] + expected) < 1e-15
-
-    def test_population_moments(self):
-        rng = np.random.default_rng(11)
-        r = zscore(panel(rng.standard_normal((50, 4)) * 3.0 + 5.0))
-        assert np.allclose(r.values.mean(axis=0), 0.0, atol=1e-12)
-        assert np.allclose((r.values**2).mean(axis=0), 1.0, atol=1e-12)
-
-    def test_constant_column_rejected(self):
-        with pytest.raises(DegenerateAssetError):
-            zscore(panel([[1.0, 2.0], [1.0, 3.0]]))
-
-    def test_missing_preserved_and_ignored(self):
-        r = zscore(panel([[1.0, 1.0], [np.nan, 2.0], [3.0, 3.0]]))
-        assert np.isnan(r.values[1, 0])
-        present = r.values[[0, 2], 0]
-        assert abs(present.mean()) < 1e-12
-
-    def test_too_few_present_values(self):
-        with pytest.raises(DegenerateAssetError):
-            zscore(panel([[1.0, 1.0], [np.nan, 2.0], [np.nan, 3.0]]))
-
-    @pytest.mark.parametrize("k", [-170, -150, 150])
-    def test_extreme_scale_keeps_scores(self, k):
-        rng = np.random.default_rng(23)
-        y = rng.standard_normal((30, 3))
-        y[rng.random(y.shape) < 0.1] = np.nan
-        expected = zscore(panel(y)).values
-        got = zscore(panel(y * 10.0**k)).values
-        assert np.array_equal(np.isnan(got), np.isnan(expected))
-        assert np.nanmax(np.abs(got - expected)) <= 1e-12
-
-    def test_overflowing_column_is_named(self):
-        with pytest.raises(DomainError, match="'S01'"):
-            zscore(panel([[1.0, 1e300], [2.0, -1e300], [3.0, 1e300]]))
 
 
 class TestRebase:
