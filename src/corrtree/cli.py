@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, Collection, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 
 from .correlation import census, pearson_matrix
 from .distance import DistanceMatrix, to_distance
@@ -83,27 +84,33 @@ def _run_stages(args: argparse.Namespace, last: str) -> dict[str, Any]:
     return stages
 
 
-def _window_artifacts(directory: Path, sequence: TreeSequence, formats: Collection[str]) -> dict[Path, str]:
-    artifacts = {directory / "survival.csv": survival_csv(sequence)}
+def _window_artifacts(
+    directory: Path, sequence: TreeSequence, formats: Collection[str]
+) -> Iterator[tuple[Path, str]]:
+    yield directory / "survival.csv", survival_csv(sequence)
     pad = max(3, len(str(len(sequence) - 1)))
     texts = [(fmt, _ARTIFACTS[f"mst.{fmt}"][2]) for fmt in _TREE_FORMATS if fmt in formats]
     for k, tree in enumerate(sequence.trees):
         for fmt, text in texts:
-            artifacts[directory / f"tree_{k:0{pad}d}.{fmt}"] = text({"tree": tree})
-    return artifacts
+            yield directory / f"tree_{k:0{pad}d}.{fmt}", text({"tree": tree})
 
 
-def _write_artifacts(files: dict[Path, str], stdout: str = "") -> None:
-    """Write every file, or on ``OSError`` remove what this call made and leave the rest as found.
+def _write_artifacts(outputs: Iterable[tuple[str | Path, str]]) -> None:
+    """Write ``(destination, text)`` pairs all-or-nothing, taking one text at a time; ``-`` is stdout.
 
-    Each text goes to a temporary file beside its target (past symlinks), and all are
-    renamed into place once all are written. A device or pipe is written in place.
-    ``stdout`` is written to standard output once every file is in place.
+    A file text goes to a temporary file beside its target (past symlinks), or in place to a device
+    or pipe, and is dropped before the next pair is taken. The renames follow, then the ``-`` texts,
+    in order. An exception before the renames removes what this call made; one among them keeps those done.
     """
     made: list[Path] = []  # directories this call creates, innermost first
     staged: dict[Path, Path] = {}  # target -> its temporary file
+    printed: list[str] = []  # the texts for standard output, in order
     try:
-        for path, text in files.items():
+        for destination, text in outputs:
+            if destination == "-":
+                printed.append(text)
+                continue
+            path = Path(destination)
             made[:0] = [d for d in path.parents if not d.is_dir()]
             path.parent.mkdir(parents=True, exist_ok=True)
             temp = path
@@ -113,9 +120,10 @@ def _write_artifacts(files: dict[Path, str], stdout: str = "") -> None:
                 staged[target] = temp
             with open(temp, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
+            del text  # so it is freed before the next text is made
         for target, temp in staged.items():
             os.replace(temp, target)
-    except OSError:
+    except BaseException:
         for temp in staged.values():
             with contextlib.suppress(OSError):
                 temp.unlink()
@@ -123,7 +131,7 @@ def _write_artifacts(files: dict[Path, str], stdout: str = "") -> None:
             with contextlib.suppress(OSError):
                 directory.rmdir()
         raise
-    sys.stdout.write(stdout)
+    sys.stdout.write("".join(printed))
 
 
 # ---------------------------------------------------------------- commands
@@ -140,9 +148,7 @@ def _cmd_view(args: argparse.Namespace) -> int:
             print(f"error: --out and --ultrametric both name {same}", file=sys.stderr)
             return 1
     stages = _run_stages(args, max((_ARTIFACTS[n][1] for n in paths), key=_STAGES.index))
-    texts = {n: _ARTIFACTS[n][2](stages) for n in paths}
-    files = {Path(path): texts[n] for n, path in paths.items() if path != "-"}
-    _write_artifacts(files, "".join(texts[n] for n, path in paths.items() if path == "-"))
+    _write_artifacts((path, _ARTIFACTS[n][2](stages)) for n, path in paths.items())
     return 0
 
 
@@ -154,21 +160,19 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    """Every artifact of ``--formats`` (and the windows) composed in memory, then written.
+    """Every artifact of ``--formats`` (and the windows), then the census record on standard output.
 
-    A failing stage or write therefore leaves no partial output. The
-    census record goes to standard output either way.
+    Every stage runs before the first text is made; a failing stage, text or write leaves no output.
     """
     window = WindowSpec(args.width, args.step) if args.width is not None else None
     # the whole chain runs for every --formats, so its errors do not depend on them
     stages = _run_stages(args, _STAGES[-1])
     out = Path(args.outdir)
-    artifacts = {out / name: text(stages) for name, (fmt, _, text) in _ARTIFACTS.items() if fmt in args.formats}
-    line = artifacts.get(out / "census.json") or _ARTIFACTS["census.json"][2](stages)
+    outputs = ((out / name, text(stages)) for name, (fmt, _, text) in _ARTIFACTS.items() if fmt in args.formats)
     if window is not None:
         sequence = rolling_trees(stages["returns"], window, min_overlap=args.min_overlap)
-        artifacts.update(_window_artifacts(out / "windows", sequence, args.formats))
-    _write_artifacts(artifacts, line)
+        outputs = itertools.chain(outputs, _window_artifacts(out / "windows", sequence, args.formats))
+    _write_artifacts(itertools.chain(outputs, [("-", _ARTIFACTS["census.json"][2](stages))]))
     return 0
 
 
@@ -181,8 +185,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         seed=args.seed,
         global_loading=args.global_loading,
     )
-    text = generate(spec).to_csv(delimiter=args.delimiter, missing_marker=args.missing)
-    _write_artifacts({Path(args.out): text})
+    _write_artifacts([(args.out, generate(spec).to_csv(delimiter=args.delimiter, missing_marker=args.missing))])
     return 0
 
 

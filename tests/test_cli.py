@@ -6,7 +6,9 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +20,15 @@ from corrtree import (
     CorrelationMatrix,
     Dendrogram,
     DistanceMatrix,
+    FactorModelSpec,
     SpanningTree,
     TimeSeriesPanel,
     TreeSequence,
     census,
+    generate,
     load_panel,
     matrix_csv,
+    parse_group_spec,
     pearson_matrix,
     raw_signal,
     rebase,
@@ -85,6 +90,18 @@ class TestSynthCommand:
         assert main(synth_args(a)) == 0
         assert main(synth_args(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_dash_is_stdout(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        args = ["synth", "--groups", "2x2", "--loading", "0.5", "--noise", "0.5", "--length", "5"]
+        assert main([*args, "--out", "-"]) == 0
+        spec = FactorModelSpec(parse_group_spec("2x2"), factor_loading=0.5, noise_sigma=0.5, length=5, seed=0)
+        text = generate(spec).to_csv()
+        assert capsys.readouterr().out == text
+        assert list(tmp_path.iterdir()) == []
+        assert main([*args, "--out", "./-"]) == 0  # only the exact string "-" is standard output
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "-").read_text() == text
 
     def test_bad_group_spec_is_usage_error(self, tmp_path, capsys):
         code = main(synth_args(tmp_path / "x.csv", groups="banana"))
@@ -170,7 +187,7 @@ class TestRunCommand:
         record = json.loads(capsys.readouterr().out)
         assert record["n"] == 8
 
-    def test_failed_write_leaves_outdir_as_found(self, panel_path, tmp_path, capsys):
+    def test_failed_write_leaves_outdir_as_found(self, panel_path, tmp_path, monkeypatch, capsys):
         out = tmp_path / "out"
         out.mkdir()
         (out / "windows").write_text("in the way\n")
@@ -183,6 +200,25 @@ class TestRunCommand:
         (out / "windows").unlink()
         assert main(args) == 0  # an existing --outdir is written into
         assert (out / "corr.csv").is_file() and (out / "windows" / "survival.csv").is_file()
+        capsys.readouterr()
+
+        # a text that fails after an earlier one was written: nothing moves, nothing is left behind
+        found = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        calls = []
+
+        def second_fails(*a, matrix_csv=corrtree.cli.matrix_csv):
+            calls.append(a)
+            if len(calls) == 2:
+                raise RuntimeError("second matrix text")
+            return matrix_csv(*a)
+
+        monkeypatch.setattr(corrtree.cli, "matrix_csv", second_fails)
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert "second matrix text" in captured.err and captured.out == ""
+        assert len(calls) == 2
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == found
+        assert {path for path in out.rglob("*") if path.is_dir()} == {out / "windows"}
 
     def test_matrix_csvs_round_trip(self, tmp_path):
         """``load_panel`` reads ``corr.csv`` and ``dist.csv`` back to the labels and the exact doubles."""
@@ -269,9 +305,8 @@ class TestOneWriter:
         targets = set()
         write = corrtree.cli._write_artifacts
 
-        def recorded(files, *args):
-            targets.update(files)
-            return write(files, *args)
+        def recorded(outputs):
+            return write((targets.add(Path(d)) or (d, t)) for d, t in outputs)
 
         monkeypatch.setattr(corrtree.cli, "_write_artifacts", recorded)
         panel = tmp_path / "panel.csv"
@@ -287,6 +322,20 @@ class TestOneWriter:
         left = {path for path in tmp_path.rglob("*") if path.is_file()}
         assert len(left) > 20
         assert left <= targets
+
+    def test_all_format_run_peak_memory(self, tmp_path, capsys):
+        """Each text is made when it is written and dropped there, so few are alive at once."""
+        panel = tmp_path / "panel.csv"
+        assert main(synth_args(panel, groups="6x50", length="200")) == 0
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            assert main(["run", str(panel), "--signal", "raw", "--outdir", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        largest = max(path.stat().st_size for path in out.iterdir())
+        assert peak <= 4 * largest, (peak, largest)
 
     @pytest.mark.skipif(
         not (os.path.exists("/dev/null") and stat.S_ISCHR(os.stat("/dev/null").st_mode)),
