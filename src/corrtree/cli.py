@@ -45,7 +45,7 @@ def _distance_csv(dist: DistanceMatrix) -> str:
 
 
 # artifact file name -> (its ``run --formats`` entry, the last stage its text reads, its text);
-# each text looks its functions up as module globals when it is called
+# each text looks its functions up as module globals when called; the census text is kept for ``run``'s stdout
 _ARTIFACTS: dict[str, tuple[str, str, Callable[[dict[str, Any]], str]]] = {
     "mst.dot": ("dot", "tree", lambda s: export_dot(s["tree"])),
     "mst.graphml": ("graphml", "tree", lambda s: export_graphml(s["tree"])),
@@ -53,7 +53,7 @@ _ARTIFACTS: dict[str, tuple[str, str, Callable[[dict[str, Any]], str]]] = {
     "corr.csv": ("csv", "corr", lambda s: matrix_csv(s["corr"].assets, s["corr"].rho)),
     "dist.csv": ("csv", "dist", lambda s: _distance_csv(s["dist"])),
     "ultrametric.csv": ("csv", "dendrogram", lambda s: _distance_csv(subdominant_ultrametric(s["dendrogram"]))),
-    "census.json": ("json", "corr", lambda s: census(s["corr"]).to_json() + "\n"),
+    "census.json": ("json", "corr", lambda s: s.get("census") or s.setdefault("census", census(s["corr"]).to_json() + "\n")),
 }
 
 EXPORT_FORMATS = tuple(dict.fromkeys(fmt for fmt, _, _ in _ARTIFACTS.values()))
@@ -206,8 +206,8 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
 
 
 def _one_character(text: str) -> str:
-    if len(text) != 1:
-        raise argparse.ArgumentTypeError(f"expected exactly one character, got {text!r}")
+    if len(text) != 1 or text in "\r\n":  # the CSV reader ends a row at a line end
+        raise argparse.ArgumentTypeError(f"expected exactly one character other than a line end, got {text!r}")
     return text
 
 

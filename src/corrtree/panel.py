@@ -42,8 +42,8 @@ class TimeSeriesPanel:
     """Aligned matrix of raw signals: one column per asset, one row per timestamp.
 
     ``values`` has shape ``(len(timestamps), len(assets))``; missing cells
-    are NaN. Instances are immutable; the value matrix is copied on
-    construction and marked read-only.
+    are NaN. Instances are immutable; the public constructor copies the
+    value matrix and marks it read-only.
     """
 
     assets: tuple[str, ...]
@@ -127,10 +127,10 @@ def _adopt(cls: type[_T], *fields: object) -> _T:
     return obj
 
 
-def _check_unique(assets: tuple[str, ...]) -> None:
+def _check_unique(assets: Sequence[str], prefix: str = "") -> None:
     if len(set(assets)) != len(assets):
         dup = sorted({a for a in assets if assets.count(a) > 1})
-        raise SchemaError(f"duplicate asset label(s): {dup}")
+        raise SchemaError(f"{prefix}duplicate asset label(s): {dup}")
 
 
 def _validate_keys(timestamps: Sequence[Timestamp]) -> None:
@@ -186,9 +186,7 @@ def load_panel(
             labels = [c.strip() for c in header[1:]]
             if any(not lab for lab in labels):
                 raise SchemaError(f"{path}: empty asset label in header")
-            if len(set(labels)) != len(labels):
-                dup = sorted({lab for lab in labels if labels.count(lab) > 1})
-                raise SchemaError(f"{path}: duplicate asset label(s): {dup}")
+            _check_unique(labels, f"{path}: ")
             if len(labels) < 2:
                 raise SchemaError(f"{path}: need at least 2 asset columns, got {len(labels)}")
             for row in reader:
@@ -233,8 +231,10 @@ def load_panel(
     for prev, cur in zip(keys, keys[1:]):
         if prev == cur:
             raise SchemaError(f"{path}: duplicate timestamp {cur!r}")
-    values = np.frombuffer(cells).reshape(-1, len(labels))[order]
-    return TimeSeriesPanel(tuple(labels), tuple(keys), values)
+    values = np.frombuffer(cells).reshape(-1, len(labels))
+    if order != list(range(len(order))):  # rows arrived out of key order
+        values = values[order]
+    return _adopt(TimeSeriesPanel, tuple(labels), tuple(keys), values)
 
 
 def _parses_as_float(text: str) -> bool:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeneratorSpecError
-from .panel import TimeSeriesPanel
+from .panel import TimeSeriesPanel, _adopt
 
 _STREAM_FACTOR = 0
 _STREAM_NOISE = 1
@@ -127,7 +127,7 @@ def generate(spec: FactorModelSpec) -> TimeSeriesPanel:
             names.append(name)
             asset_index += 1
     values = np.column_stack(columns)
-    return TimeSeriesPanel(tuple(names), tuple(range(t)), values)
+    return _adopt(TimeSeriesPanel, tuple(names), tuple(range(t)), values)
 
 
 _GROUPS_COMPACT = re.compile(r"^(\d+)\s*[xX]\s*(\d+)$")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, SchemaError, SizeError, UnknownAssetError
-from .panel import TimeSeriesPanel
+from .panel import TimeSeriesPanel, _adopt
 
 
 def log_returns(panel: TimeSeriesPanel) -> TimeSeriesPanel:
@@ -37,7 +37,7 @@ def log_returns(panel: TimeSeriesPanel) -> TimeSeriesPanel:
             f"at timestamp {panel.timestamps[t]!r}"
         )
     logs = np.log(values)
-    return TimeSeriesPanel(panel.assets, panel.timestamps[1:], logs[1:] - logs[:-1])
+    return _adopt(TimeSeriesPanel, panel.assets, panel.timestamps[1:], logs[1:] - logs[:-1])
 
 
 def raw_signal(panel: TimeSeriesPanel) -> TimeSeriesPanel:
@@ -73,7 +73,7 @@ def rank_signal(panel: TimeSeriesPanel) -> TimeSeriesPanel:
     end = np.minimum.accumulate(np.where(closes, cols + 1, n)[:, ::-1], axis=1)[:, ::-1]
     out = np.empty_like(values)
     np.put_along_axis(out, order, (start + 1 + end) / 2.0, axis=1)
-    return TimeSeriesPanel(panel.assets, panel.timestamps, out)
+    return _adopt(TimeSeriesPanel, panel.assets, panel.timestamps, out)
 
 
 def rebase(panel: TimeSeriesPanel, base: str, *, numeraire: str) -> TimeSeriesPanel:

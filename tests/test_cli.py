@@ -267,12 +267,17 @@ class TestRunCommand:
         assert not (windows / "tree_003.dot").exists()
 
     def test_containers_checked_only_at_the_boundary(self, panel_path, tmp_path, monkeypatch):
-        """A windowed run checks only the ingested panel and the signal panel.
+        """A windowed run checks one container: the panel ``rebase`` builds, when there is one.
 
-        Every other container comes from a producer that hands over what it
-        builds. ``single_linkage`` needs no ``Dendrogram`` check, because
+        ``load_panel``, the signals and every later producer hand over what
+        they build; ``rebase`` keeps the public check, because its
+        ``numeraire`` label is caller input that nothing else checks.
+        ``single_linkage`` needs no ``Dendrogram`` check, because
         ``SpanningTree`` rejects a hand-built tree's non-finite or negative weight.
         """
+        synthetic = load_panel(panel_path)
+        prices = tmp_path / "prices.csv"  # positive, for log returns and a rebase
+        write_panel(TimeSeriesPanel(synthetic.assets, synthetic.timestamps, np.exp(synthetic.values)), prices)
         counts = dict.fromkeys(
             (TimeSeriesPanel, CorrelationMatrix, DistanceMatrix, SpanningTree, Dendrogram, TreeSequence),
             0,
@@ -283,19 +288,35 @@ class TestRunCommand:
                 check(self)
 
             monkeypatch.setattr(cls, "__post_init__", counted)
-        args = ["run", str(panel_path), "--signal", "rank", "--outdir", str(tmp_path / "out")]
-        args += ["--width", "40", "--step", "20"]
-        with redirect_stdout(io.StringIO()):
-            assert main(args) == 0
-        assert {cls.__name__: count for cls, count in counts.items()} == {
-            "TimeSeriesPanel": 2,
-            "CorrelationMatrix": 0,
-            "DistanceMatrix": 0,
-            "SpanningTree": 0,
-            "Dendrogram": 0,
-            "TreeSequence": 0,
-        }
-        assert len(list((tmp_path / "out" / "windows").glob("tree_*.dot"))) == 5
+        cases = [(signal, [], 0) for signal in _SIGNALS] + [("log-return", ["--rebase", "G1_00"], 1)]
+        for k, (signal, extra, panels) in enumerate(cases):
+            counts.update(dict.fromkeys(counts, 0))
+            out = tmp_path / f"out{k}"
+            args = ["run", str(prices), "--signal", signal, *extra, "--outdir", str(out)]
+            args += ["--width", "40", "--step", "20"]
+            with redirect_stdout(io.StringIO()):
+                assert main(args) == 0
+            assert {cls.__name__: count for cls, count in counts.items()} == {
+                "TimeSeriesPanel": panels,
+                "CorrelationMatrix": 0,
+                "DistanceMatrix": 0,
+                "SpanningTree": 0,
+                "Dendrogram": 0,
+                "TreeSequence": 0,
+            }, (signal, extra)
+            # 120 prices, 119 log returns: windows start every 20 rows while 40 fit
+            windows = 4 if signal == "log-return" else 5
+            assert len(list((out / "windows").glob("tree_*.dot"))) == windows
+
+    def test_census_made_once_per_run(self, panel_path, tmp_path, monkeypatch, capsys):
+        """``census.json`` and the stdout record share one census."""
+        calls = []
+        made = corrtree.cli.census
+        monkeypatch.setattr(corrtree.cli, "census", lambda corr: calls.append(corr) or made(corr))
+        out = tmp_path / "out"
+        assert main(["run", str(panel_path), "--signal", "raw", "--outdir", str(out)]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == (out / "census.json").read_text()
 
 
 class TestOneWriter:
@@ -587,6 +608,28 @@ def test_fuzzed_panels_exit_cleanly(body, signal, tmp_path_factory):
         assert clean or failed, (command, code, message)
 
 
+class TestMissingMarker:
+    def test_custom_marker_reads_as_its_na_twin(self, na_panel_path, tmp_path, capsys):
+        marked = tmp_path / "marked.csv"
+        marked.write_text(na_panel_path.read_text().replace("NA", "?"))
+        texts = []
+        for panel, extra in ((na_panel_path, []), (marked, ["--missing", "?"])):
+            out = tmp_path / f"corr_{panel.stem}.csv"
+            assert main(["corr", str(panel), "--signal", "raw", *extra, "--out", str(out)]) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        assert b"nan" not in texts[0]
+
+    def test_unknown_marker_names_its_line(self, na_panel_path, tmp_path, capsys):
+        marked = tmp_path / "marked.csv"
+        marked.write_text(na_panel_path.read_text().replace("NA", "?"))
+        assert main(["corr", str(marked), "--signal", "raw"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # na_panel_path marks the second cell of its first data row (line 2) missing
+        assert captured.err == f"error: {marked}: line 2: cannot parse '?' for asset 'G1_01'\n"
+
+
 class TestSignalsAndRebase:
     @pytest.mark.parametrize("signal", ["raw", "rank"])
     def test_alternative_signals(self, panel_path, signal, capsys):
@@ -625,6 +668,20 @@ class TestSignalsAndRebase:
             runs.append(([(p.relative_to(outdir), p.read_bytes()) for p in files], capsys.readouterr()))
         assert runs[0] == runs[1]
         assert len(runs[0][0]) > 7
+
+    def test_numeraire_names_the_unit_column(self, tmp_path, capsys):
+        rng = np.random.default_rng(14)
+        quotes = np.exp(0.05 * rng.standard_normal((30, 4))).cumprod(axis=0)
+        panel = tmp_path / "fx.csv"
+        write_panel(TimeSeriesPanel(("CHF", "EUR", "GBP", "JPY"), tuple(range(30)), quotes), panel)
+        out = tmp_path / "corr.csv"
+        assert main(["corr", str(panel), "--rebase", "CHF", "--numeraire", "EUR2", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == ",EUR,GBP,JPY,EUR2"
+        # rebase keeps the public constructor's check: nothing else checks the numeraire label
+        assert main(["corr", str(panel), "--rebase", "CHF", "--numeraire", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: asset labels must be non-empty strings\n"
 
     def test_rebase_unknown_label(self, panel_path):
         assert main(["census", str(panel_path), "--signal", "raw", "--rebase", "XXX"]) == 2
@@ -719,6 +776,17 @@ class TestUsage:
     def test_bad_delimiter(self, panel_path, capsys, delimiter):
         assert main(["census", str(panel_path), "--delimiter", delimiter]) == 1
         assert "exactly one character" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line_end", ["\n", "\r"], ids=["LF", "CR"])
+    def test_line_end_delimiter_is_usage_error(self, panel_path, tmp_path, capsys, line_end):
+        """A panel split at a line end could not be read back."""
+        synthesized = tmp_path / "x.csv"
+        assert main([*synth_args(synthesized), "--delimiter", line_end]) == 1
+        assert main(["census", str(panel_path), "--delimiter", line_end]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count(f"exactly one character other than a line end, got {line_end!r}") == 2
+        assert [p.name for p in tmp_path.iterdir()] == [panel_path.name]
 
     def test_parser_exits_two_and_main_returns_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -17,7 +17,7 @@ from corrtree import (
     load_panel,
 )
 from helpers import write_panel
-from oracles import load_panel_two_pass
+from oracles import load_panel_two_pass, revalidate
 
 
 def write(tmp_path, text, name="panel.csv"):
@@ -111,6 +111,9 @@ class TestLoad:
         p = load_panel(path)
         assert p.timestamps == (1, 2)
         assert p.values[0, 0] == 3.0
+
+    def test_reordered_panel_passes_public_constructor(self, tmp_path):
+        revalidate(load_panel(write(tmp_path, "t,A,B\n2,5,NA\n1,3,4\n")))
 
     def test_string_timestamps_kept(self, tmp_path):
         path = write(tmp_path, "t,A,B\n2020-01,1,2\n2020-02,3,4\n")

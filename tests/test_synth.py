@@ -13,6 +13,7 @@ from corrtree import (
     spans_connected_subtree,
     to_distance,
 )
+from oracles import revalidate
 
 
 def spec(**overrides):
@@ -74,6 +75,12 @@ class TestGenerate:
         assert r.timestamps == tuple(range(100))
         assert r.values.shape == (100, 6)
         assert r.assets == ("A_00", "A_01", "A_02", "B_00", "B_01", "B_02")
+
+    def test_prefixed_group_labels_give_a_valid_panel(self):
+        """Names are label, underscore, digits, so distinct labels never share a name."""
+        r = generate(spec(groups=(("A", 101), ("A_1", 2), ("A_10", 1)), length=5))
+        revalidate(r)
+        assert r.assets[-4:] == ("A_100", "A_1_00", "A_1_01", "A_10_00")
 
     def test_same_seed_bitwise_identical(self):
         a = generate(spec(seed=9))
