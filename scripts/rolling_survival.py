@@ -28,7 +28,6 @@ import numpy as np
 from corrtree import (
     FactorModelSpec,
     TimeSeriesPanel,
-    WindowSpec,
     generate,
     rolling_trees,
     split_compare,
@@ -68,7 +67,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     break_at = args.length // 2
-    window = WindowSpec(args.width, args.step)
 
     def mean_survival(reshuffle: bool) -> tuple[np.ndarray, list[tuple[int, int]], float]:
         series: list[list[float]] = []
@@ -78,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
             returns = spliced_panel(
                 args.length, args.seed + 2 * rep, args.loading, args.noise, reshuffle
             )
-            sequence = rolling_trees(returns, window)
+            sequence = rolling_trees(returns, args.width, args.step)
             windows = list(sequence.windows)
             series.append([s for s in sequence.survival_vs_previous() if s is not None])
             splits.append(split_compare(returns, break_at).survival_vs_previous()[1])

@@ -18,7 +18,6 @@ from .correlation import (
 from .distance import DistanceMatrix, to_distance
 from .dynamics import (
     TreeSequence,
-    WindowSpec,
     edge_survival,
     rolling_trees,
     split_compare,
@@ -66,7 +65,6 @@ __all__ = [
     "TreeEdge",
     "TreeSequence",
     "UnknownAssetError",
-    "WindowSpec",
     "build_mst",
     "census",
     "edge_survival",

@@ -22,7 +22,7 @@ from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 
 from .correlation import census, pearson_matrix
 from .distance import DistanceMatrix, to_distance
-from .dynamics import TreeSequence, WindowSpec, rolling_trees
+from .dynamics import TreeSequence, rolling_trees
 from .errors import CorrTreeError, GeneratorSpecError
 from .export import export_dot, export_graphml, export_newick, matrix_csv, survival_csv
 from .hierarchy import single_linkage, subdominant_ultrametric
@@ -154,7 +154,7 @@ def _cmd_view(args: argparse.Namespace) -> int:
 
 def _cmd_dynamics(args: argparse.Namespace) -> int:
     returns = _run_stages(args, "returns")["returns"]
-    sequence = rolling_trees(returns, WindowSpec(args.width, args.step), min_overlap=args.min_overlap)
+    sequence = rolling_trees(returns, args.width, args.step, min_overlap=args.min_overlap)
     _write_artifacts(_window_artifacts(Path(args.outdir), sequence, (args.format,)))
     return 0
 
@@ -164,13 +164,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     Every stage runs before the first text is made; a failing stage, text or write leaves no output.
     """
-    window = WindowSpec(args.width, args.step) if args.width is not None else None
     # the whole chain runs for every --formats, so its errors do not depend on them
     stages = _run_stages(args, _STAGES[-1])
     out = Path(args.outdir)
     outputs = ((out / name, text(stages)) for name, (fmt, _, text) in _ARTIFACTS.items() if fmt in args.formats)
-    if window is not None:
-        sequence = rolling_trees(stages["returns"], window, min_overlap=args.min_overlap)
+    if args.width is not None:
+        sequence = rolling_trees(stages["returns"], args.width, args.step, min_overlap=args.min_overlap)
         outputs = itertools.chain(outputs, _window_artifacts(out / "windows", sequence, args.formats))
     _write_artifacts(itertools.chain(outputs, [("-", _ARTIFACTS["census.json"][2](stages))]))
     return 0

@@ -83,7 +83,7 @@ def pearson_matrix(returns: TimeSeriesPanel, min_overlap: int = 3) -> Correlatio
     InsufficientDataError
         Some pair has fewer than ``min_overlap`` joint observations.
     """
-    if min_overlap < 2:
+    if not min_overlap >= 2:  # NaN included
         raise ValueError(f"min_overlap must be >= 2, got {min_overlap}")
     obs = returns.values
     if np.isnan(obs).any():

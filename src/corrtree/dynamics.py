@@ -24,22 +24,6 @@ from .panel import TimeSeriesPanel, _adopt
 _STACK_BYTES = 12_000_000
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    """Sliding observation window: width rows advanced by step rows."""
-
-    width: int
-    step: int = 1
-
-    def __post_init__(self) -> None:
-        if int(self.width) != self.width or self.width < 3:
-            raise SizeError(f"window width must be an integer >= 3, got {self.width!r}")
-        if int(self.step) != self.step or self.step < 1:
-            raise SizeError(f"window step must be an integer >= 1, got {self.step!r}")
-        object.__setattr__(self, "width", int(self.width))
-        object.__setattr__(self, "step", int(self.step))
-
-
 @dataclass(frozen=True, eq=False)
 class TreeSequence:
     """Trees built per row span, aligned with their (start, end) index spans."""
@@ -80,18 +64,22 @@ class TreeSequence:
 
 
 def rolling_trees(
-    returns: TimeSeriesPanel, window: WindowSpec, *, min_overlap: int = 3
+    returns: TimeSeriesPanel, width: int, step: int = 1, *, min_overlap: int = 3
 ) -> TreeSequence:
     """One spanning tree per window [k*step, k*step + width).
 
-    Window count is floor((T - width) / step) + 1; trailing observations
-    that do not fill a window are dropped.
+    ``width`` >= 3 and ``step`` >= 1 are whole numbers (integral floats will do). Window count is
+    floor((T - width) / step) + 1; trailing observations that do not fill a window are dropped.
     """
+    for name, value, least in (("width", width, 3), ("step", step, 1)):
+        if not (least <= value < np.inf and int(value) == value):  # NaN fails the bounds
+            raise SizeError(f"window {name} must be an integer >= {least}, got {value!r}")
+    width, step = int(width), int(step)
     n_obs = returns.n_obs
-    if n_obs < window.width:
-        raise SizeError(f"window width {window.width} exceeds series length {n_obs}")
-    count = (n_obs - window.width) // window.step + 1
-    spans = [(k * window.step, k * window.step + window.width) for k in range(count)]
+    if n_obs < width:
+        raise SizeError(f"window width {width} exceeds series length {n_obs}")
+    count = (n_obs - width) // step + 1
+    spans = [(k * step, k * step + width) for k in range(count)]
     return _span_trees(returns, spans, min_overlap)
 
 

@@ -118,7 +118,11 @@ class TimeSeriesPanel:
 
 
 def _adopt(cls: type[_T], *fields: object) -> _T:
-    """``cls(*fields)`` without its checks or copies, for outputs that pass every check."""
+    """``cls(*fields)`` without its checks or copies, for outputs that pass every check.
+
+    A panel's values must be C-ordered, as the public constructor stores them:
+    the correlation stage's BLAS Gram rounds other layouts differently in the last digits.
+    """
     obj = object.__new__(cls)
     for name, value in zip(cls.__dataclass_fields__, fields, strict=True):
         if isinstance(value, np.ndarray):  # read-only, as the public constructor leaves it

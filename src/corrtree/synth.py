@@ -68,11 +68,11 @@ class FactorModelSpec:
             raise GeneratorSpecError(
                 f"global_loading must be a finite real >= 0, got {self.global_loading!r}"
             )
-        if int(self.length) != self.length or self.length < 2:
+        if not (2 <= self.length < np.inf and int(self.length) == self.length):
             raise GeneratorSpecError(
                 f"length must be an integer >= 2, got {self.length!r}"
             )
-        if int(self.seed) != self.seed or self.seed < 0:
+        if not (0 <= self.seed < np.inf and int(self.seed) == self.seed):
             raise GeneratorSpecError(f"seed must be an integer >= 0, got {self.seed!r}")
         object.__setattr__(self, "length", int(self.length))
         object.__setattr__(self, "seed", int(self.seed))
@@ -110,24 +110,20 @@ def generate(spec: FactorModelSpec) -> TimeSeriesPanel:
     """Draw one panel, timestamped 0 .. length - 1; identical spec gives identical bits."""
     t = spec.length
     members = spec.member_map()
-    names: list[str] = []
-    columns: list[np.ndarray] = []
+    names = tuple(name for label, _ in spec.groups for name in members[label])
+    values = np.empty((t, len(names)))
     if spec.global_loading > 0.0:
         common = spec.global_loading * _stream(spec.seed, _STREAM_GLOBAL, 0).standard_normal(t)
     else:
         common = np.zeros(t)
     asset_index = 0
-    for g, (label, _) in enumerate(spec.groups):
+    for g, (_, count) in enumerate(spec.groups):
         factor = _stream(spec.seed, _STREAM_FACTOR, g).standard_normal(t)
-        for name in members[label]:
+        for _ in range(count):
             eps = _stream(spec.seed, _STREAM_NOISE, asset_index).standard_normal(t)
-            columns.append(
-                spec.factor_loading * factor + spec.noise_sigma * eps + common
-            )
-            names.append(name)
+            values[:, asset_index] = spec.factor_loading * factor + spec.noise_sigma * eps + common
             asset_index += 1
-    values = np.column_stack(columns)
-    return _adopt(TimeSeriesPanel, tuple(names), tuple(range(t)), values)
+    return _adopt(TimeSeriesPanel, names, tuple(range(t)), values)
 
 
 _GROUPS_COMPACT = re.compile(r"^(\d+)\s*[xX]\s*(\d+)$")

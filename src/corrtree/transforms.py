@@ -84,7 +84,9 @@ def rebase(panel: TimeSeriesPanel, base: str, *, numeraire: str) -> TimeSeriesPa
     the old numeraire as a new asset quoted at ``1 / P_base``; the base
     column itself is dropped. Rebasing to the numeraire is the identity.
     A quote that overflows float64 in the new base raises
-    :class:`DomainError` naming its asset and timestamp.
+    :class:`DomainError` naming its asset and timestamp. The result is
+    handed over unchecked, except for ``numeraire``, the one label no
+    other check sees.
     """
     if base == numeraire:
         return panel
@@ -94,7 +96,8 @@ def rebase(panel: TimeSeriesPanel, base: str, *, numeraire: str) -> TimeSeriesPa
         raise SchemaError(
             f"numeraire {numeraire!r} is already an asset label; rebasing would duplicate it"
         )
-    base_col = panel.column(base)
+    b = panel.assets.index(base)
+    base_col = panel.values[:, b]
     bad = np.argwhere(np.isnan(base_col) | (base_col <= 0.0))
     if bad.size:
         t = int(bad[0][0])
@@ -102,11 +105,11 @@ def rebase(panel: TimeSeriesPanel, base: str, *, numeraire: str) -> TimeSeriesPa
             f"base column {base!r} must be present and positive; "
             f"offending value {float(base_col[t])!r} at timestamp {panel.timestamps[t]!r}"
         )
-    keep = [i for i, a in enumerate(panel.assets) if a != base]
-    assets = tuple(panel.assets[i] for i in keep) + (numeraire,)
-    quotes = np.hstack([panel.values[:, keep], np.ones((panel.n_obs, 1))])
+    assets = panel.assets[:b] + panel.assets[b + 1 :] + (numeraire,)
+    rebased = np.ones((panel.n_obs, len(assets)))  # C order, as _adopt requires; the numeraire quotes 1
+    rebased[:, :b], rebased[:, b:-1] = panel.values[:, :b], panel.values[:, b + 1 :]
     with np.errstate(over="ignore"):
-        rebased = quotes / base_col[:, None]
+        np.divide(rebased, base_col[:, None], out=rebased)
     overflow = np.argwhere(np.isinf(rebased))
     if overflow.size:
         t, i = overflow[0]
@@ -114,4 +117,6 @@ def rebase(panel: TimeSeriesPanel, base: str, *, numeraire: str) -> TimeSeriesPa
             f"quote of asset {assets[i]!r} in base {base!r} overflows float64 "
             f"at timestamp {panel.timestamps[t]!r}"
         )
-    return TimeSeriesPanel(assets, panel.timestamps, rebased)
+    if not isinstance(numeraire, str) or not numeraire:
+        raise SchemaError("asset labels must be non-empty strings")
+    return _adopt(TimeSeriesPanel, assets, panel.timestamps, rebased)

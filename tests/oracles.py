@@ -45,7 +45,6 @@ from corrtree import (
     TimeSeriesPanel,
     TreeEdge,
     TreeSequence,
-    WindowSpec,
     build_mst,
     edge_survival,
     pearson_matrix,
@@ -171,24 +170,22 @@ def prim_mst_compacted(dist: DistanceMatrix) -> SpanningTree:
 
 # Rolling windows before they were batched: one tree built per window.
 def rolling_trees_loop(
-    returns: TimeSeriesPanel, window: WindowSpec, *, min_overlap: int = 3
+    returns: TimeSeriesPanel, width: int, step: int = 1, *, min_overlap: int = 3
 ) -> TreeSequence:
-    """One spanning tree per window [k*step, k*step + width).
+    """One spanning tree per window [k*step, k*step + width), for valid integers.
 
     Window count is floor((T - width) / step) + 1; trailing observations
     that do not fill a window are dropped.
     """
     n_obs = returns.n_obs
-    if n_obs < window.width:
-        raise SizeError(
-            f"window width {window.width} exceeds series length {n_obs}"
-        )
-    count = (n_obs - window.width) // window.step + 1
+    if n_obs < width:
+        raise SizeError(f"window width {width} exceeds series length {n_obs}")
+    count = (n_obs - width) // step + 1
     spans: list[tuple[int, int]] = []
     trees: list[SpanningTree] = []
     for k in range(count):
-        start = k * window.step
-        end = start + window.width
+        start = k * step
+        end = start + width
         sub = TimeSeriesPanel(
             returns.assets, returns.timestamps[start:end], returns.values[start:end]
         )
@@ -644,10 +641,10 @@ def load_panel_two_pass(
 def revalidate(obj: object) -> object:
     """Rebuild a container through its public constructor, which runs every check.
 
-    Asserts that each rebuilt field equals ``obj``'s in type and bytes
-    (signed zeros and NaN payloads included) and that ``obj``'s arrays
-    are read-only; a TreeSequence's trees are revalidated too. Returns
-    ``obj``.
+    Asserts that each rebuilt field equals ``obj``'s in type, bytes
+    (signed zeros and NaN payloads included) and C-contiguity, and that
+    ``obj``'s arrays are read-only; a TreeSequence's trees are
+    revalidated too. Returns ``obj``.
     """
     given = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
     rebuilt = type(obj)(*given)
@@ -664,6 +661,7 @@ def _assert_same(value: object, checked: object) -> None:
     if isinstance(value, np.ndarray):
         assert not value.flags.writeable
         assert (value.dtype, value.shape) == (checked.dtype, checked.shape)
+        assert value.flags.c_contiguous == checked.flags.c_contiguous
         assert value.tobytes() == checked.tobytes()
     elif isinstance(value, tuple):
         assert len(value) == len(checked)

@@ -267,11 +267,11 @@ class TestRunCommand:
         assert not (windows / "tree_003.dot").exists()
 
     def test_containers_checked_only_at_the_boundary(self, panel_path, tmp_path, monkeypatch):
-        """A windowed run checks one container: the panel ``rebase`` builds, when there is one.
+        """A windowed run checks no container, with or without ``--rebase``.
 
-        ``load_panel``, the signals and every later producer hand over what
-        they build; ``rebase`` keeps the public check, because its
-        ``numeraire`` label is caller input that nothing else checks.
+        ``load_panel``, ``rebase``, the signals and every later producer hand
+        over what they build; ``rebase`` checks its ``numeraire`` label itself,
+        as nothing else checks it.
         ``single_linkage`` needs no ``Dendrogram`` check, because
         ``SpanningTree`` rejects a hand-built tree's non-finite or negative weight.
         """
@@ -288,8 +288,8 @@ class TestRunCommand:
                 check(self)
 
             monkeypatch.setattr(cls, "__post_init__", counted)
-        cases = [(signal, [], 0) for signal in _SIGNALS] + [("log-return", ["--rebase", "G1_00"], 1)]
-        for k, (signal, extra, panels) in enumerate(cases):
+        cases = [(signal, []) for signal in _SIGNALS] + [("log-return", ["--rebase", "G1_00"])]
+        for k, (signal, extra) in enumerate(cases):
             counts.update(dict.fromkeys(counts, 0))
             out = tmp_path / f"out{k}"
             args = ["run", str(prices), "--signal", signal, *extra, "--outdir", str(out)]
@@ -297,7 +297,7 @@ class TestRunCommand:
             with redirect_stdout(io.StringIO()):
                 assert main(args) == 0
             assert {cls.__name__: count for cls, count in counts.items()} == {
-                "TimeSeriesPanel": panels,
+                "TimeSeriesPanel": 0,
                 "CorrelationMatrix": 0,
                 "DistanceMatrix": 0,
                 "SpanningTree": 0,
@@ -650,7 +650,7 @@ class TestSignalsAndRebase:
 
     @pytest.mark.parametrize("missing", [False, True], ids=["complete", "missing"])
     def test_rebase_run_equals_run_on_reloaded_rebased_panel(self, tmp_path, capsys, missing):
-        # the rebased panel is built by hstack; its bytes must not depend on that layout
+        # the rebased panel is adopted unchecked; its bytes must equal those of the reloaded panel
         rng = np.random.default_rng(13)
         quotes = np.exp(0.05 * rng.standard_normal((80, 12))).cumprod(axis=0)
         if missing:
@@ -677,7 +677,7 @@ class TestSignalsAndRebase:
         out = tmp_path / "corr.csv"
         assert main(["corr", str(panel), "--rebase", "CHF", "--numeraire", "EUR2", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == ",EUR,GBP,JPY,EUR2"
-        # rebase keeps the public constructor's check: nothing else checks the numeraire label
+        # rebase checks the numeraire label itself, as nothing else checks it
         assert main(["corr", str(panel), "--rebase", "CHF", "--numeraire", ""]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -70,6 +70,13 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson_matrix(returns(np.eye(3)), min_overlap=1)
 
+    @pytest.mark.parametrize("missing", [False, True], ids=["complete", "missing"])
+    def test_nan_min_overlap_is_rejected(self, missing):
+        """A NaN bound compares false both ways, so it must not pass as 'not below 2'."""
+        y = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, np.nan if missing else 5.0]])
+        with pytest.raises(ValueError, match="^min_overlap must be >= 2, got nan$"):
+            pearson_matrix(returns(y), min_overlap=float("nan"))
+
     @given(
         seed=st.integers(0, 2**31 - 1),
         scale=st.lists(st.floats(0.01, 100.0), min_size=4, max_size=4),

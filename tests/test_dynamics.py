@@ -11,7 +11,6 @@ from corrtree import (
     SpanningTree,
     TimeSeriesPanel,
     TreeEdge,
-    WindowSpec,
     build_mst,
     edge_survival,
     generate,
@@ -35,20 +34,54 @@ def path_tree(labels, weights=None):
     return SpanningTree(tuple(labels), edges)
 
 
-class TestWindowSpec:
+class TestWindowArguments:
+    def panel(self):
+        return returns(np.random.default_rng(0).standard_normal((10, 4)))
+
     def test_validation(self):
-        with pytest.raises(SizeError):
-            WindowSpec(width=2)
-        with pytest.raises(SizeError):
-            WindowSpec(width=5, step=0)
-        assert WindowSpec(width=3).step == 1
+        r = self.panel()
+        with pytest.raises(SizeError, match=r"^window width must be an integer >= 3, got 2$"):
+            rolling_trees(r, 2)
+        with pytest.raises(SizeError, match=r"^window step must be an integer >= 1, got 0$"):
+            rolling_trees(r, 5, 0)
+        assert rolling_trees(r, 8).windows == ((0, 8), (1, 9), (2, 10))  # step defaults to 1
+
+    @pytest.mark.parametrize(
+        ("width", "step", "shown"),
+        [
+            (4.5, 1, "width must be an integer >= 3, got 4.5"),
+            (5, 1.5, "step must be an integer >= 1, got 1.5"),
+            (float("nan"), 1, "width must be an integer >= 3, got nan"),
+            (float("inf"), 1, "width must be an integer >= 3, got inf"),
+            (5, float("nan"), "step must be an integer >= 1, got nan"),
+            (5, float("-inf"), "step must be an integer >= 1, got -inf"),
+            (np.float64("nan"), 1, f"width must be an integer >= 3, got {np.float64('nan')!r}"),
+            (2, 0, "width must be an integer >= 3, got 2"),
+        ],
+        ids=["fraction", "fractional-step", "nan", "inf", "nan-step", "minus-inf-step",
+             "numpy-nan", "width-first"],
+    )
+    def test_bad_width_or_step_is_a_size_error(self, width, step, shown):
+        with pytest.raises(SizeError) as info:
+            rolling_trees(self.panel(), width, step)
+        assert str(info.value) == f"window {shown}"
+
+    @pytest.mark.parametrize(
+        ("width", "step"),
+        [(5.0, 2.0), (np.int64(5), np.int32(2)), (np.float64(5.0), np.uint8(2))],
+        ids=["floats", "numpy-integers", "numpy-mixed"],
+    )
+    def test_accepts_whole_numbers(self, width, step):
+        seq = rolling_trees(self.panel(), width, step)
+        assert seq.windows == ((0, 5), (2, 7), (4, 9))
+        assert all(type(k) is int for span in seq.windows for k in span)
 
 
 class TestRollingTrees:
     def test_window_count_arithmetic(self):
         rng = np.random.default_rng(0)
         r = returns(rng.standard_normal((10, 4)))
-        seq = rolling_trees(r, WindowSpec(width=5, step=1))
+        seq = rolling_trees(r, 5, 1)
         assert len(seq) == 6
         assert seq.windows[0] == (0, 5)
         assert seq.windows[-1] == (5, 10)
@@ -56,13 +89,13 @@ class TestRollingTrees:
     def test_step_drops_partial_tail(self):
         rng = np.random.default_rng(1)
         r = returns(rng.standard_normal((11, 4)))
-        seq = rolling_trees(r, WindowSpec(width=5, step=3))
+        seq = rolling_trees(r, 5, 3)
         assert seq.windows == ((0, 5), (3, 8), (6, 11))
 
     def test_single_window_equals_static_pipeline(self):
         rng = np.random.default_rng(2)
         r = returns(rng.standard_normal((30, 5)))
-        seq = rolling_trees(r, WindowSpec(width=30))
+        seq = rolling_trees(r, 30)
         static = build_mst(to_distance(pearson_matrix(r)))
         assert len(seq) == 1
         assert seq.trees[0].edges == static.edges
@@ -79,7 +112,7 @@ class TestRollingTrees:
             return pearson_matrix(sub, **kwargs)
 
         monkeypatch.setattr(dynamics, "pearson_matrix", recorded)
-        seq = rolling_trees(r, WindowSpec(width=6, step=4))
+        seq = rolling_trees(r, 6, 4)
         assert len(seen) == len(seq) == 3
         for sub, (start, end), tree in zip(seen, seq.windows, seq.trees):
             part = TimeSeriesPanel(r.assets, r.timestamps[start:end], r.values[start:end])
@@ -90,13 +123,13 @@ class TestRollingTrees:
         rng = np.random.default_rng(3)
         r = returns(rng.standard_normal((5, 3)))
         with pytest.raises(SizeError):
-            rolling_trees(r, WindowSpec(width=6))
+            rolling_trees(r, 6)
 
     def test_short_window_propagates_insufficient_data(self):
         rng = np.random.default_rng(4)
         r = returns(rng.standard_normal((10, 3)))
         with pytest.raises(InsufficientDataError):
-            rolling_trees(r, WindowSpec(width=3), min_overlap=4)
+            rolling_trees(r, 3, min_overlap=4)
 
     def test_group_connectivity_is_stable_on_stationary_panel(self):
         spec = FactorModelSpec(
@@ -107,7 +140,7 @@ class TestRollingTrees:
             seed=20,
         )
         r = generate(spec)
-        seq = rolling_trees(r, WindowSpec(width=250, step=25))
+        seq = rolling_trees(r, 250, 25)
         members = spec.member_map()
         ok = sum(
             all(spans_connected_subtree(t, m) for m in members.values())
@@ -128,8 +161,8 @@ class TestRollingTrees:
                 seed=seed,
             )
             r = generate(spec)
-            dense = rolling_trees(r, WindowSpec(width=120, step=30))
-            sparse = rolling_trees(r, WindowSpec(width=120, step=120))
+            dense = rolling_trees(r, 120, 30)
+            sparse = rolling_trees(r, 120, 120)
             overlap_means.extend(
                 s for s in dense.survival_vs_previous() if s is not None
             )

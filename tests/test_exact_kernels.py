@@ -15,7 +15,6 @@ from corrtree import (
     Merge,
     SpanningTree,
     TimeSeriesPanel,
-    WindowSpec,
     build_mst,
     export_dot,
     export_graphml,
@@ -26,6 +25,7 @@ from corrtree import (
     pearson_matrix,
     rank_signal,
     raw_signal,
+    rebase,
     rolling_trees,
     single_linkage,
     split_compare,
@@ -245,8 +245,8 @@ def window_bytes(n: int) -> int:
     return 8 * n * n
 
 
-def assert_rolling_matches_loop(r, window):
-    got, expected = rolling_trees(r, window), rolling_trees_loop(r, window)
+def assert_rolling_matches_loop(r, width, step):
+    got, expected = rolling_trees(r, width, step), rolling_trees_loop(r, width, step)
     assert got.windows == expected.windows
     assert [tree_bytes(t) for t in got.trees] == [tree_bytes(t) for t in expected.trees]
 
@@ -256,9 +256,9 @@ def test_rolling_chunks_match_per_window_loop(count, monkeypatch):
     rng = np.random.default_rng(40 + count)
     n, width, step = 7, 6, 3
     r = tied_returns(rng, width + (count - 1) * step, n)
-    assert_rolling_matches_loop(r, WindowSpec(width, step))  # one stack at the default budget
+    assert_rolling_matches_loop(r, width, step)  # one stack at the default budget
     monkeypatch.setattr(dynamics, "_STACK_BYTES", 3 * window_bytes(n) + window_bytes(n) // 2)
-    assert_rolling_matches_loop(r, WindowSpec(width, step))
+    assert_rolling_matches_loop(r, width, step)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 100])
@@ -271,7 +271,7 @@ def test_rolling_error_in_middle_window_matches_loop(chunk, monkeypatch):
     outcomes = []
     for build in (rolling_trees, rolling_trees_loop):
         with pytest.raises(CorrTreeError) as info:
-            build(r, WindowSpec(5, 5))
+            build(r, 5, 5)
         outcomes.append((type(info.value), str(info.value)))
     assert outcomes[0] == outcomes[1]
     assert "zero variance" in outcomes[0][1]
@@ -298,7 +298,7 @@ def test_rolling_nonfinite_distance_in_middle_window_matches_loop(monkeypatch):
     for module, build in ((dynamics, rolling_trees), (oracles, rolling_trees_loop)):
         monkeypatch.setattr(module, "to_distance", poison_third_window(module.to_distance))
         with pytest.raises(CorrTreeError) as info:
-            build(r, WindowSpec(5, 5))
+            build(r, 5, 5)
         outcomes.append((type(info.value), str(info.value)))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][1] == "non-finite distance inf between 'S00' and 'S02'"
@@ -361,12 +361,14 @@ def stage_outputs(path, signal) -> list:
     chain(path, load_panel, signal)
     if len(outputs) == 2:
         signal_panel = outputs[1]
-        chain(signal_panel, lambda r: rolling_trees(r, WindowSpec(3)))
+        chain(signal_panel, lambda r: rolling_trees(r, 3))
         chain(signal_panel, lambda r: split_compare(r, 3))
         chain(
             signal_panel, pearson_matrix, to_distance, build_mst, single_linkage,
             subdominant_ultrametric,
         )
+    if outputs:  # the loaded panel, rebased to its first asset
+        chain(outputs[0], lambda panel: rebase(panel, "A", numeraire="USD"))
     return outputs
 
 

@@ -22,7 +22,6 @@ from corrtree import (
     survival_csv,
     to_distance,
     pearson_matrix,
-    WindowSpec,
 )
 from helpers import random_data_distance, returns
 from oracles import partition_at
@@ -270,7 +269,7 @@ class TestSurvivalCsv:
     def test_header_and_blank_first_entry(self):
         rng = np.random.default_rng(7)
         r = returns(rng.standard_normal((30, 4)))
-        seq = rolling_trees(r, WindowSpec(width=10, step=10))
+        seq = rolling_trees(r, 10, 10)
         text = survival_csv(seq)
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["window_index", "start", "end", "survival_vs_previous"]
@@ -283,7 +282,7 @@ class TestSurvivalCsv:
 
         rng = np.random.default_rng(8)
         r = returns(rng.standard_normal((40, 5)))
-        seq = rolling_trees(r, WindowSpec(width=20, step=5))
+        seq = rolling_trees(r, 20, 5)
         text = survival_csv(seq)
         rows = list(csv.reader(io.StringIO(text)))[2:]
         for k, row in enumerate(rows, start=1):

@@ -1,5 +1,8 @@
 """Factor-model panel generator: determinism and implied correlations."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,6 +58,13 @@ class TestSpecValidation:
     def test_rejects_bad_fields(self, overrides):
         with pytest.raises(GeneratorSpecError):
             spec(**overrides)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float64("-inf")])
+    @pytest.mark.parametrize(("field", "least"), [("length", 2), ("seed", 0)])
+    def test_nonfinite_counts_are_spec_errors(self, field, least, value):
+        with pytest.raises(GeneratorSpecError) as info:
+            spec(**{field: value})
+        assert str(info.value) == f"{field} must be an integer >= {least}, got {value!r}"
 
     def test_zero_noise_allowed(self):
         assert spec(noise_sigma=0.0).noise_sigma == 0.0
@@ -132,6 +142,25 @@ class TestGenerate:
         tree = build_mst(to_distance(pearson_matrix(generate(s))))
         for members in s.member_map().values():
             assert spans_connected_subtree(tree, members)
+
+    def test_values_are_pinned(self):
+        """The generator's bits for one spec with a global factor stay those first drawn."""
+        groups = tuple((f"G{g}", 50) for g in range(24))
+        r = generate(spec(groups=groups, length=250, seed=7, global_loading=0.3))
+        assert r.values.flags.c_contiguous
+        digest = hashlib.sha256(r.values.tobytes()).hexdigest()
+        assert digest == "c563e6b431632601ed9c99203031668c0f978504905e314245eb0588038e0762"
+
+    def test_peak_memory(self):
+        """The columns fill one preallocated array: about one result at the peak."""
+        s = spec(groups=tuple((f"G{g}", 50) for g in range(24)), length=250)
+        tracemalloc.start()
+        try:
+            values = generate(s).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * values.nbytes
 
     def test_wide_group_padding(self):
         s = spec(groups=(("G", 120),), length=5)

@@ -1,5 +1,7 @@
 """Signal transforms: log returns, ranks, re-basing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +20,7 @@ from corrtree import (
     rebase,
 )
 from helpers import panel
+from oracles import revalidate
 
 # frozen: ln(1.1) to 17 significant digits
 LN_1_1 = 0.09531017980432486
@@ -176,6 +179,39 @@ class TestRebase:
         p = TimeSeriesPanel(("GBP", "EUR"), (7, 8), [[1.0, 2.0], row])
         with pytest.raises(DomainError, match=rf"'{asset}' in base 'EUR' .* at timestamp 8$"):
             rebase(p, "EUR", numeraire="USD")
+
+    @pytest.mark.parametrize("numeraire", ["", None, 7])
+    def test_numeraire_must_be_a_label(self, numeraire):
+        with pytest.raises(SchemaError, match="^asset labels must be non-empty strings$"):
+            rebase(self.fx_panel(), "EUR", numeraire=numeraire)
+
+    @pytest.mark.parametrize(
+        ("row", "message"),
+        [([0.0, 1.0], "base column 'EUR' must be present"), ([5e-324, 1e300], "overflows float64")],
+    )
+    def test_base_and_overflow_faults_come_before_the_numeraire(self, row, message):
+        p = TimeSeriesPanel(("EUR", "GBP"), (0, 1), [[1.0, 2.0], row])
+        with pytest.raises(DomainError, match=message):
+            rebase(p, "EUR", numeraire="")
+
+    @pytest.mark.parametrize("base", ["EUR", "GBP", "JPY"])
+    def test_adopted_panel_passes_the_constructor(self, base):
+        q = rebase(self.fx_panel(), base, numeraire="USD")
+        assert q.values.flags.c_contiguous
+        revalidate(q)
+
+    def test_peak_memory(self):
+        """One (T, n) array is filled and divided in place: about one result at the peak."""
+        rng = np.random.default_rng(6)
+        labels = tuple(f"C{k:04d}" for k in range(1200))
+        p = TimeSeriesPanel(labels, tuple(range(250)), np.exp(0.1 * rng.standard_normal((250, 1200))))
+        tracemalloc.start()
+        try:
+            values = rebase(p, "C0000", numeraire="USD").values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * values.nbytes
 
     @given(st.integers(0, 2**31 - 1))
     def test_round_trip_property(self, seed):
