@@ -163,9 +163,9 @@ def _pairwise_complete(returns: TimeSeriesPanel, min_overlap: int) -> np.ndarray
     accurate. For every pair (i, j), the
     count, sum and sum of squares of x_i over the joint rows are the
     column totals less the rows where j is missing, so their cost follows
-    the missing cells. The cross products are summed row by row in time
-    order with elementwise numpy, never BLAS, so the bytes do not depend
-    on the BLAS thread count.
+    the missing cells. The cross products are one ``einsum``, run on one
+    thread without BLAS: on C-ordered input it sums them row by row in
+    time order, so the bytes do not depend on the BLAS thread count.
 
     Pairs short of ``min_overlap``, and pairs whose Gram variance is not
     clearly positive (an overlap mean about one overlap-sigma or more from
@@ -199,11 +199,7 @@ def _pairwise_complete(returns: TimeSeriesPanel, min_overlap: int) -> np.ndarray
         s[:, j] -= rows.sum(axis=0)
         q[:, j] -= (rows * rows).sum(axis=0)
 
-    p = np.zeros((n, n))
-    outer = np.empty((n, n))
-    for row in x:
-        np.multiply(row[:, None], row, out=outer)
-        p += outer
+    p = np.einsum("ti,tj->ij", x, x)  # x is C-ordered, as every panel's values are: row-by-row sums
 
     with np.errstate(all="ignore"):
         mean = s / joint

@@ -63,6 +63,14 @@ class TreeSequence:
         return tuple(out)
 
 
+def _whole(name: str, value: float, least: float = -np.inf) -> int:
+    """``value`` as an ``int``; a ``SizeError`` names it unless it is a whole number >= ``least``."""
+    if not (least <= value and abs(value) < np.inf and int(value) == value):  # NaN fails every bound
+        bound = f" >= {least}" if least > -np.inf else ""
+        raise SizeError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
 def rolling_trees(
     returns: TimeSeriesPanel, width: int, step: int = 1, *, min_overlap: int = 3
 ) -> TreeSequence:
@@ -71,15 +79,11 @@ def rolling_trees(
     ``width`` >= 3 and ``step`` >= 1 are whole numbers (integral floats will do). Window count is
     floor((T - width) / step) + 1; trailing observations that do not fill a window are dropped.
     """
-    for name, value, least in (("width", width, 3), ("step", step, 1)):
-        if not (least <= value < np.inf and int(value) == value):  # NaN fails the bounds
-            raise SizeError(f"window {name} must be an integer >= {least}, got {value!r}")
-    width, step = int(width), int(step)
+    width, step = _whole("window width", width, 3), _whole("window step", step, 1)
     n_obs = returns.n_obs
     if n_obs < width:
         raise SizeError(f"window width {width} exceeds series length {n_obs}")
-    count = (n_obs - width) // step + 1
-    spans = [(k * step, k * step + width) for k in range(count)]
+    spans = [(start, start + width) for start in range(0, n_obs - width + 1, step)]
     return _span_trees(returns, spans, min_overlap)
 
 
@@ -102,8 +106,7 @@ def _span_trees(
         stack[filled] = dist.d
         if filled == len(stack) - 1 or k == len(spans) - 1:
             trees += _prim_trees(returns.assets, stack[: filled + 1])
-    windows = tuple((int(s), int(e)) for s, e in spans)  # a split index may be a numpy integer
-    return _adopt(TreeSequence, returns.assets, windows, tuple(trees))
+    return _adopt(TreeSequence, returns.assets, tuple(spans), tuple(trees))
 
 
 def edge_survival(a: SpanningTree, b: SpanningTree) -> float:
@@ -122,10 +125,10 @@ def split_compare(
 ) -> TreeSequence:
     """Trees for the segments [0, split) and [split, T).
 
-    ``before, after = split.trees``; their edge survival is
-    ``split.survival_vs_previous()[1]``.
+    ``split_index`` is a whole number (integral floats will do). ``before, after = split.trees``;
+    their edge survival is ``split.survival_vs_previous()[1]``.
     """
-    n_obs = returns.n_obs
+    split_index, n_obs = _whole("split index", split_index), returns.n_obs
     if split_index < 3 or n_obs - split_index < 3:
         raise SizeError(
             f"split at {split_index} leaves a segment shorter than 3 of {n_obs} observations"

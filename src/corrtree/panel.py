@@ -109,11 +109,8 @@ class TimeSeriesPanel:
         buf = io.StringIO()
         writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
         writer.writerow(["t", *self.assets])
-        for k, ts in enumerate(self.timestamps):
-            row: list[str] = [str(ts)]
-            for v in self.values[k]:
-                row.append(missing_marker if np.isnan(v) else repr(float(v)))
-            writer.writerow(row)
+        for ts, row in zip(self.timestamps, self.values):
+            writer.writerow([str(ts), *(missing_marker if v != v else repr(v) for v in row.tolist())])
         return buf.getvalue()
 
 

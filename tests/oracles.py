@@ -6,9 +6,9 @@ rolling window and per split segment), exhaustive enumeration of
 spanning trees through their Prufer sequences, agglomeration by a full
 ``argmin`` over the working matrix at each step, a replay of the tree's
 edges that finds each endpoint's cluster by a linear search, a
-breadth-first walk from every root for the ultrametric, row-by-row ranking, and the
-pairwise-complete correlation one pair at a time, and the census over
-the upper triangle. They are slow and
+breadth-first walk from every root for the ultrametric, row-by-row ranking, the
+masked Gram summed row by row, the pairwise-complete correlation one pair
+at a time, and the census over the upper triangle. They are slow and
 memory-hungry by design; tests compare the vectorised kernels with them
 bit for bit, not within a tolerance, except the correlation, whose
 summation order changed and which is held to 1e-12 and to identical
@@ -496,6 +496,18 @@ def pairwise_complete_loop(returns: TimeSeriesPanel, min_overlap: int) -> np.nda
                 )
             rho[i, j] = rho[j, i] = np.mean(xi * xj) / np.sqrt(vi * vj)
     return rho
+
+
+# The masked path's cross products before they were one einsum.
+def masked_gram_loop(x: np.ndarray) -> np.ndarray:
+    """``x.T @ x``, summed row by row in time order with elementwise numpy."""
+    n = x.shape[1]
+    p = np.zeros((n, n))
+    outer = np.empty((n, n))
+    for row in x:
+        np.multiply(row[:, None], row, out=outer)
+        p += outer
+    return p
 
 
 # The census before it counted over the whole matrix.

@@ -121,6 +121,20 @@ class TestPearson:
             tracemalloc.stop()
         assert peak <= 2.75 * rho.nbytes
 
+    def test_missing_data_peak_memory(self):
+        """The masked Gram is one einsum, with no n x n row product beside it."""
+        rng = np.random.default_rng(8)
+        y = rng.standard_normal((100, 400)) + rng.standard_normal((100, 1))
+        y[rng.random(y.shape) < 0.01] = np.nan
+        r = returns(y)
+        tracemalloc.start()
+        try:
+            rho = pearson_matrix(r).rho
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * rho.nbytes
+
 
 class TestPairwiseComplete:
     def test_matches_per_pair_loop(self):

@@ -237,10 +237,28 @@ class TestSplitCompare:
     def test_segment_guards(self):
         rng = np.random.default_rng(11)
         r = returns(rng.standard_normal((10, 3)))
-        with pytest.raises(SizeError):
+        with pytest.raises(SizeError, match=r"^split at 2 leaves a segment shorter than 3 of 10 observations$"):
             split_compare(r, 2)
-        with pytest.raises(SizeError):
+        with pytest.raises(SizeError, match=r"^split at 8 leaves a segment shorter than 3 of 10 observations$"):
             split_compare(r, 8)
+
+    @pytest.mark.parametrize(
+        "split",
+        [float("nan"), 5.5, float("inf"), float("-inf"), np.float64("nan"), np.float64(6.5)],
+        ids=["nan", "fraction", "inf", "minus-inf", "numpy-nan", "numpy-fraction"],
+    )
+    def test_split_that_is_not_a_whole_number_is_a_size_error(self, split):
+        r = returns(np.random.default_rng(13).standard_normal((12, 4)))
+        with pytest.raises(SizeError) as info:
+            split_compare(r, split)
+        assert str(info.value) == f"split index must be an integer, got {split!r}"
+
+    @pytest.mark.parametrize("split", [6.0, np.float64(6.0)], ids=["float", "numpy-float"])
+    def test_integral_float_split_is_an_int(self, split):
+        r = returns(np.random.default_rng(13).standard_normal((12, 4)))
+        windows = split_compare(r, split).windows
+        assert windows == ((0, 6), (6, 12))
+        assert [type(i) for span in windows for i in span] == [int] * 4
 
     def test_numpy_integer_split_gives_int_windows(self):
         r = returns(np.random.default_rng(13).standard_normal((12, 4)))

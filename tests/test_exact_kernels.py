@@ -1,5 +1,7 @@
 """The vectorised kernels against their straightforward forms, bit for bit."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,7 @@ from corrtree import (
     to_distance,
 )
 from corrtree import dynamics
-from corrtree.cli import _SIGNALS
+from corrtree.cli import _SIGNALS, main
 from corrtree.mst import _prim_trees
 from helpers import random_data_distance, returns
 import oracles
@@ -48,7 +50,7 @@ from oracles import (
     rolling_trees_loop,
     split_compare_pair,
 )
-from test_cli import numeric_panels
+from test_cli import numeric_panels, synth_args
 
 
 def tied_distance(rng: np.random.Generator, n: int) -> DistanceMatrix:
@@ -185,6 +187,73 @@ def test_missing_data_pipeline_ignores_column_order(signal):
         assert p_rho[back].tobytes() == rho.tobytes()
         assert p_ultra[back].tobytes() == ultra.tobytes()
         assert label_merges(p_dendrogram) == label_merges(dendrogram)
+
+
+def masked_gram_inputs() -> dict[str, np.ndarray]:
+    """C-ordered centred columns as the masked path makes them: 0 in every missing cell."""
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((250, 12))
+    x[rng.random(x.shape) < 0.1] = 0.0
+    signed = x.copy()
+    signed[::3, 4] = -0.0
+    signed[:, 7] = -0.0
+    subnormal = x.copy()
+    subnormal[:, 2] *= 5e-324  # a few units of the smallest subnormal, or 0
+    subnormal[:, 9] *= 1e-310
+    return {
+        "zeroed-cells": x,
+        "negative-zero": signed,
+        "subnormal": subnormal,
+        "1e-150-to-1e150": x * 10.0 ** np.linspace(-150, 150, 12),
+        "one-row": x[:1],
+        "one-row-negative-zero": signed[4:5],
+        "two-columns": rng.standard_normal((1000, 2)),
+    }
+
+
+@pytest.mark.parametrize("case", list(masked_gram_inputs()))
+def test_masked_gram_is_the_time_ordered_row_sum(case):
+    """One einsum over a C-ordered array gives the row loop's bytes.
+
+    This pins numpy's einsum to summation in time order, one rounded product
+    at a time, without fused multiply-add and without BLAS. The masked path's
+    cross products (``correlation._pairwise_complete``) are made this way, so
+    the bytes of every missing-data artifact depend on it. With a single
+    column, einsum takes a dot-product kernel that sums in another order; no
+    panel has fewer than 2 assets.
+    """
+    x = masked_gram_inputs()[case]
+    assert x.flags.c_contiguous
+    assert np.einsum("ti,tj->ij", x, x).tobytes() == oracles.masked_gram_loop(x).tobytes()
+
+
+def test_missing_data_run_bytes_are_pinned(tmp_path, capsys):
+    """The matrix CSVs of a run on a panel with NA cells keep the bytes first written.
+
+    The digests were taken when the masked Gram was still summed by the row loop.
+    """
+    path = tmp_path / "panel.csv"
+    assert main(synth_args(path, groups="3x10", length="300", seed="5")) == 0
+    rng = np.random.default_rng(17)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    cells = [row.split(",") for row in rows]
+    for row in cells:
+        for k in np.flatnonzero(rng.random(len(row) - 1) < 0.02):
+            row[k + 1] = "NA"
+    path.write_text("\n".join([header, *map(",".join, cells)]) + "\n", encoding="utf-8")
+    assert sum(row.count("NA") for row in cells) > 100
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--signal", "raw", "--formats", "csv", "--outdir", str(out)]) == 0
+    capsys.readouterr()
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("corr.csv", "dist.csv", "ultrametric.csv")
+    }
+    assert digests == {
+        "corr.csv": "9f6f81c0828bf91c4258eddf8f12c61e1df8cc4aa39d8db4aae688bf5464f626",
+        "dist.csv": "96535cde4c103b32525470089985375f3be59cde3324c845bddfb003a1f75a25",
+        "ultrametric.csv": "fc4de23f0728b28f3227858f2c2edb520eef4dbda5f4209db6b8672dac28a3c8",
+    }
 
 
 def test_rank_signal_matches_row_loop():

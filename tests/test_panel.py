@@ -1,6 +1,7 @@
 """Panel loading, validation and serialization."""
 
 import contextlib
+import hashlib
 from functools import partial
 
 import numpy as np
@@ -64,6 +65,20 @@ class TestConstruction:
     def test_shape_mismatch(self):
         with pytest.raises(SchemaError):
             TimeSeriesPanel(("A", "B"), (0, 1), [[1.0, 2.0]])
+
+
+class TestWrite:
+    def test_to_csv_text_is_pinned(self):
+        """Missing cells, signed zeros, subnormals, quoted keys and labels keep their bytes."""
+        p = TimeSeriesPanel(
+            ("A", "B;C", 'D"E'),
+            ("2020-01-01", "2020-01-02;x", '2020-01-03 "y"'),
+            np.array([[np.nan, -0.0, 5e-324], [1e300, 0.1, -2.5], [0.0, np.nan, -1e-300]]),
+        )
+        text = p.to_csv(delimiter=";", missing_marker="N/A")
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "39f1b038685407a15c0906a624e368b9e48f3b09c6275a4201ea2a82a05b0614"
+        )
 
 
 class TestLoad:
