@@ -22,12 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAssetError, DomainError, InsufficientDataError, SchemaError
+from .errors import DegenerateAssetError, InsufficientDataError, SchemaError
 from .panel import TimeSeriesPanel, _adopt, _check_unique
 
 STRONG_THRESHOLD = 0.5
-
-_NORMAL = (np.finfo(float).tiny, np.finfo(float).max)  # float64's normal range
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +74,6 @@ def pearson_matrix(returns: TimeSeriesPanel, min_overlap: int = 3) -> Correlatio
 
     Raises
     ------
-    DomainError
-        Some asset's squared deviations overflow float64.
     DegenerateAssetError
         Some asset is constant on an overlap it participates in.
     InsufficientDataError
@@ -102,55 +98,31 @@ def pearson_matrix(returns: TimeSeriesPanel, min_overlap: int = 3) -> Correlatio
 
 
 def _unit_scaled(x: np.ndarray) -> np.ndarray:
-    """``x`` with each column whose largest |x| is below 1/2 scaled up into [1/2, 1).
+    """``x`` with each column scaled by the power of two that puts its largest |x| in [1/2, 1).
 
-    The factor is a power of two, so the scaling is exact and leaves
-    correlations unchanged; without it the squares of values below about
-    1e-154 go subnormal and lose their digits. Columns already at or above
-    that range keep their values.
+    The scaling is exact and commutes with every later operation, so
+    correlations keep their bytes at any finite scale. Centred values then
+    lie below 2 in magnitude, so no square or variance product overflows,
+    and a column that is not constant keeps a centred value of at least
+    about 2^-56, so ``var_i * var_j`` stays far above float64's smallest
+    normal, 2^-1022.
     """
     _, exponent = np.frexp(np.fmax.reduce(np.abs(x), axis=0))
-    return np.ldexp(x, -np.minimum(exponent, 0))
-
-
-def _sqrt_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``sqrt(a * b)``, or ``sqrt(a) * sqrt(b)`` where ``a * b`` leaves the normal range.
-
-    The product of two variances over- or underflows long before either
-    variance does; the second form then keeps the ratio it divides exact
-    to rounding, while values in range keep the first form's bytes.
-    """
-    with np.errstate(all="ignore"):
-        root = np.asarray(a * b)
-        outside = root < _NORMAL[0]
-        outside |= root > _NORMAL[1]
-        np.sqrt(root, out=root)
-        if outside.any():
-            root = np.where(outside, np.sqrt(a) * np.sqrt(b), root)
-    return root
-
-
-def _check_spread(returns: TimeSeriesPanel, sumsq: np.ndarray) -> None:
-    """Name the first asset whose centred sum of squares is not finite."""
-    bad = np.flatnonzero(~np.isfinite(sumsq))
-    if bad.size:
-        raise DomainError(f"asset {returns.assets[bad[0]]!r}: squared deviations overflow float64")
+    return np.ldexp(x, -exponent)
 
 
 def _full_sample(returns: TimeSeriesPanel) -> np.ndarray:
     centered = _unit_scaled(returns.values)  # a new array, so it is centred in place
-    t = centered.shape[0]
-    with np.errstate(all="ignore"):
-        centered -= centered.mean(axis=0)
-        centered -= centered.mean(axis=0)
-        gram = centered.T @ centered
-        gram /= t
+    centered -= centered.mean(axis=0)
+    centered -= centered.mean(axis=0)
+    gram = centered.T @ centered
+    gram /= centered.shape[0]
     var = np.diag(gram).copy()
-    _check_spread(returns, var)
     for i, v in enumerate(var):
         if v == 0.0:
             raise DegenerateAssetError(f"asset {returns.assets[i]!r} has zero variance")
-    gram /= _sqrt_product(var[:, None], var[None, :])
+    root = var[:, None] * var
+    gram /= np.sqrt(root, out=root)
     return gram
 
 
@@ -185,7 +157,6 @@ def _pairwise_complete(returns: TimeSeriesPanel, min_overlap: int) -> np.ndarray
             x -= x.sum(axis=0) / np.maximum(count, 1)
             x[absent] = 0.0
         sumsq = (x * x).sum(axis=0)
-    _check_spread(returns, sumsq)
 
     # joint[i, j], s[i, j], q[i, j]: count, sum and sum of squares of x_i
     # over the rows where both i and j are present
@@ -204,7 +175,10 @@ def _pairwise_complete(returns: TimeSeriesPanel, min_overlap: int) -> np.ndarray
     with np.errstate(all="ignore"):
         mean = s / joint
         var = q / joint - mean * mean
-        rho = (p / joint - mean * mean.T) / _sqrt_product(var, var.T)
+        rho = p / joint - mean * mean.T
+        root = var * var.T
+        rho /= np.sqrt(root, out=root)
+        del root  # one n x n array fewer from here on
         unclear = ~(var > 0.5 * q / joint)
     exact = (joint < min_overlap) | unclear | unclear.T
     for i, j in zip(*np.nonzero(np.triu(exact, 1))):
@@ -238,7 +212,7 @@ def _pair_rho(
             raise DegenerateAssetError(
                 f"asset {asset!r} has zero variance on the overlap of pair {pair}"
             )
-        return np.mean(xi * xj) / _sqrt_product(vi, vj)
+        return np.mean(xi * xj) / np.sqrt(vi * vj)
 
 
 @dataclass(frozen=True)

@@ -90,17 +90,20 @@ def export_newick(dendrogram: Dendrogram) -> str:
 
     A cluster merged at height h sits at depth h/2, so the leaf-to-leaf
     path length through the tree equals the cophenetic distance. The
-    root carries length 0.
+    root carries length 0. Each merge lists first the child holding the
+    smaller label, so the text does not depend on the order of the leaves.
     """
     n = dendrogram.n_leaves
     text: dict[int, str] = {i: _newick_label(lab) for i, lab in enumerate(dendrogram.leaves)}
     height: dict[int, float] = {i: 0.0 for i in range(n)}
+    first = dict(enumerate(dendrogram.leaves))  # each cluster's smallest label
     for k, m in enumerate(dendrogram.merges):
+        node = n + k
+        first[node] = min(first[m.left], first[m.right])
         parts = []
-        for child in (m.left, m.right):
+        for child in sorted((m.left, m.right), key=first.pop):
             length = (m.height - height.pop(child)) / 2.0
             parts.append(f"{text.pop(child)}:{repr(float(length))}")
-        node = n + k
         text[node] = "(" + ",".join(parts) + ")"
         height[node] = m.height
     (root,) = text

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import PanelParseError, SchemaError, UnknownAssetError
+from .errors import DomainError, PanelParseError, SchemaError, UnknownAssetError
 
 Timestamp = int | str
 _T = TypeVar("_T")
@@ -42,8 +42,9 @@ class TimeSeriesPanel:
     """Aligned matrix of raw signals: one column per asset, one row per timestamp.
 
     ``values`` has shape ``(len(timestamps), len(assets))``; missing cells
-    are NaN. Instances are immutable; the public constructor copies the
-    value matrix and marks it read-only.
+    are NaN, and an infinite cell is a :class:`DomainError` naming its
+    asset and timestamp. Instances are immutable; the public constructor
+    copies the value matrix and marks it read-only.
     """
 
     assets: tuple[str, ...]
@@ -70,6 +71,13 @@ class TimeSeriesPanel:
             raise SchemaError(
                 f"value matrix shape {values.shape} does not match "
                 f"({len(timestamps)} timestamps, {len(assets)} assets)"
+            )
+        infinite = np.argwhere(np.isinf(values))
+        if infinite.size:
+            t, i = infinite[0]
+            raise DomainError(
+                f"non-finite value {float(values[t, i])!r} for asset {assets[i]!r} "
+                f"at timestamp {timestamps[t]!r}"
             )
         values.setflags(write=False)
 

@@ -12,11 +12,11 @@ from corrtree import (
     CorrelationCensus,
     CorrelationMatrix,
     DegenerateAssetError,
-    DomainError,
     InsufficientDataError,
     SchemaError,
     build_mst,
     census,
+    correlation,
     pearson_matrix,
     to_distance,
 )
@@ -110,7 +110,7 @@ class TestPearson:
         assert f_order.tobytes() == c_order.tobytes()
 
     def test_complete_data_peak_memory(self):
-        """The Gram is centred, scaled and symmetrised in place: about 2.5 results at the peak."""
+        """The Gram is centred, scaled and symmetrised in place: about 2.35 results at the peak."""
         rng = np.random.default_rng(8)
         r = returns(rng.standard_normal((100, 400)) + rng.standard_normal((100, 1)))
         tracemalloc.start()
@@ -119,7 +119,7 @@ class TestPearson:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.75 * rho.nbytes
+        assert peak <= 2.4 * rho.nbytes
 
     def test_missing_data_peak_memory(self):
         """The masked Gram is one einsum, with no n x n row product beside it."""
@@ -267,7 +267,7 @@ class TestMaskedGram:
 class TestExtremeScale:
     """Scaling a panel by 10**k leaves its correlations alone, on both paths."""
 
-    @pytest.mark.parametrize("k", [-300, -200, -170, -160, -150, -100, -50, 50, 100, 150])
+    @pytest.mark.parametrize("k", [-300, -200, -170, -160, -150, -100, -50, 50, 100, 150, 200, 300])
     def test_scaled_panels_keep_rho(self, k):
         rng = np.random.default_rng(700 + k)
         for m in range(100):
@@ -288,12 +288,49 @@ class TestExtremeScale:
             else:
                 assert np.max(np.abs(got - expected)) <= 1e-12, (k, m)
 
-    def test_overflowing_column_is_named(self):
-        y = np.array([[1.0, 2.0], [2.0, 4.1], [3.0, 5.9], [1.0, 2.0]])
-        y[:, 1] *= 1e300
-        for values in (y, np.vstack([y, [np.nan, 1.0]])):
-            with pytest.raises(DomainError, match="'S01'"):
+    @pytest.mark.parametrize("k", [-1000, -600, 300, 600, 1000])
+    @pytest.mark.parametrize("missing", [False, True], ids=["complete", "missing"])
+    def test_power_of_two_scaling_keeps_bytes(self, monkeypatch, k, missing):
+        """Every other column times 2**k: the same bytes, or the same error.
+
+        Pairs of scaled columns take variance products near 2**(2k), and
+        column 0's overlap with column 1 sits far from its column mean, so
+        that pair takes the per-pair arithmetic on the masked path.
+        """
+        rng = np.random.default_rng(41)
+        y = rng.standard_normal((300, 40))
+        y[:, 1] += 0.5 * y[:, 0]
+        if missing:
+            y[150:, 0] += 1000.0
+            y[:150, 1] = np.nan
+            y[rng.random(y.shape) < 0.01] = np.nan
+        scaled = y.copy()
+        scaled[:, ::2] = np.ldexp(y[:, ::2], k)
+        assert np.array_equal(np.ldexp(scaled[:, ::2], -k), y[:, ::2], equal_nan=True)  # exact
+        exact_pairs = []
+        pair_rho = correlation._pair_rho
+
+        def spy(returns, present, i, j, min_overlap):
+            exact_pairs.append((i, j))
+            return pair_rho(returns, present, i, j, min_overlap)
+
+        monkeypatch.setattr(correlation, "_pair_rho", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = pearson_matrix(returns(y)).rho
+            assert pearson_matrix(returns(scaled)).rho.tobytes() == expected.tobytes()
+        assert ((0, 1) in exact_pairs) == missing
+
+        constant = y.copy()
+        constant[:, 2] = 3.0
+        if missing:
+            constant[5, 2] = np.nan
+        errors = []
+        for values in (constant, np.where(np.arange(40) % 2 == 0, np.ldexp(constant, k), constant)):
+            with pytest.raises(DegenerateAssetError) as info:
                 pearson_matrix(returns(values))
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] and "'S02'" in errors[0]
 
 
 class TestMatrixValidation:

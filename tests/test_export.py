@@ -179,7 +179,7 @@ class TestNewick:
         # dyadic heights keep every branch length exact in binary64
         dg = Dendrogram(("A", "B", "C"), (Merge(0, 1, 0.25), Merge(2, 3, 0.75)))
         text = export_newick(dg)
-        assert text == "(C:0.375,(A:0.125,B:0.125):0.25):0.0;\n"
+        assert text == "((A:0.125,B:0.125):0.25,C:0.375):0.0;\n"
 
     def test_parse_back_recovers_merge_partitions(self):
         rng = np.random.default_rng(4)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from corrtree import (
     CorrTreeError,
+    DomainError,
     PanelParseError,
     SchemaError,
     TimeSeriesPanel,
@@ -65,6 +66,15 @@ class TestConstruction:
     def test_shape_mismatch(self):
         with pytest.raises(SchemaError):
             TimeSeriesPanel(("A", "B"), (0, 1), [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["inf", "minus-inf"])
+    def test_infinite_cell_names_asset_and_timestamp(self, value):
+        # the first infinite cell in row order is named; NaN cells are missing, not faults
+        values = np.array([[1.0, 2.0, 3.0], [np.nan, 2.0, value], [value, 1.0, 1.0]])
+        with pytest.raises(DomainError, match=rf"^non-finite value {value!r} for asset 'C' at timestamp 'b'$"):
+            TimeSeriesPanel(("A", "B", "C"), ("a", "b", "c"), values)
+        values[np.isinf(values)] = np.nan
+        assert np.isnan(TimeSeriesPanel(("A", "B", "C"), ("a", "b", "c"), values).values).sum() == 3
 
 
 class TestWrite:

@@ -45,6 +45,11 @@ class TestLogReturns:
         with pytest.raises(DomainError):
             log_returns(panel([[1.0, -2.0], [2.0, 3.0]]))
 
+    def test_infinite_price_is_rejected_by_the_panel(self):
+        # before the panel checked it, the inf return surfaced as an overflow in the correlation
+        with pytest.raises(DomainError, match=r"^non-finite value inf for asset 'S01' at timestamp 1$"):
+            log_returns(panel([[1.0, 2.0], [2.0, np.inf], [3.0, 4.0]]))
+
     def test_missing_propagates_to_adjacent_returns(self):
         p = panel([[1.0, 1.0], [np.nan, 2.0], [3.0, 4.0]])
         r = log_returns(p)
@@ -166,6 +171,11 @@ class TestRebase:
         p = TimeSeriesPanel(("EUR", "GBP"), (0, 1), [[1.0, 2.0], [0.0, 3.0]])
         with pytest.raises(DomainError, match="1"):
             rebase(p, "EUR", numeraire="USD")
+
+    def test_infinite_base_quote_is_rejected_by_the_panel(self):
+        # before the panel checked it, 1 / inf reached the log returns as a 0.0 quote
+        with pytest.raises(DomainError, match=r"^non-finite value inf for asset 'EUR' at timestamp 1$"):
+            rebase(TimeSeriesPanel(("EUR", "GBP"), (0, 1), [[1.0, 2.0], [np.inf, 3.0]]), "EUR", numeraire="USD")
 
     def test_missing_base_quote(self):
         p = TimeSeriesPanel(("EUR", "GBP"), (0,), [[np.nan, 2.0]])
