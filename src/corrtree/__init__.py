@@ -39,7 +39,7 @@ from .hierarchy import Dendrogram, Merge, single_linkage, subdominant_ultrametri
 from .mst import SpanningTree, TreeEdge, build_mst, spans_connected_subtree
 from .panel import TimeSeriesPanel, load_panel
 from .synth import FactorModelSpec, generate, parse_group_spec
-from .transforms import log_returns, rank_signal, raw_signal, rebase
+from .transforms import log_returns, rank_signal, rebase
 
 __version__ = "0.1.0"
 
@@ -78,7 +78,6 @@ __all__ = [
     "parse_group_spec",
     "pearson_matrix",
     "rank_signal",
-    "raw_signal",
     "rebase",
     "rolling_trees",
     "single_linkage",

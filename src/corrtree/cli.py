@@ -29,11 +29,11 @@ from .hierarchy import single_linkage, subdominant_ultrametric
 from .mst import build_mst
 from .panel import TimeSeriesPanel, load_panel
 from .synth import FactorModelSpec, generate, parse_group_spec
-from .transforms import log_returns, rank_signal, raw_signal, rebase
+from .transforms import log_returns, rank_signal, rebase
 
 _SIGNALS: dict[str, Callable[[TimeSeriesPanel], TimeSeriesPanel]] = {
     "log-return": log_returns,
-    "raw": raw_signal,
+    "raw": lambda panel: panel,  # panels are immutable, so the signal shares the panel
     "rank": rank_signal,
 }
 
@@ -184,7 +184,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         seed=args.seed,
         global_loading=args.global_loading,
     )
-    _write_artifacts([(args.out, generate(spec).to_csv(delimiter=args.delimiter, missing_marker=args.missing))])
+    _write_artifacts([(args.out, generate(spec).to_csv(delimiter=args.delimiter))])
     return 0
 
 
@@ -305,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--global-loading", type=float, default=0.0, metavar="X",
                    help="optional market-wide factor loading (default: %(default)s)")
     p.add_argument("--delimiter", type=_one_character, default=",", help="field separator (default: ',')")
-    p.add_argument("--missing", metavar="MARKER", default="NA",
-                   help="missing-value marker (default: %(default)s)")
     p.add_argument("--out", required=True, metavar="PATH", help="panel CSV destination")
     p.set_defaults(func=_cmd_synth)
 

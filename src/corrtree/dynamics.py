@@ -14,7 +14,7 @@ import numpy as np
 
 from .correlation import pearson_matrix
 from .distance import to_distance
-from .errors import ComparisonError, SchemaError, SizeError
+from .errors import ComparisonError, CorrTreeError, SchemaError, SizeError
 from .mst import SpanningTree, _prim_trees
 from .mst import build_mst  # noqa: F401  (benchmark/tracer.py hooks dynamics.build_mst)
 from .panel import TimeSeriesPanel, _adopt
@@ -93,7 +93,9 @@ def _span_trees(
     """The spanning tree of each row span [start, end), built in span order.
 
     The spans' distance matrices fill a bounded stack (16 spans at n = 300),
-    and each full stack's trees come from one batched Prim run.
+    and each full stack's trees come from one batched Prim run. A span's
+    :class:`CorrTreeError` is raised again as its class, its message prefixed
+    with the span's index and first and last timestamps.
     """
     n = returns.n_assets
     stack = np.empty((min(len(spans), max(1, _STACK_BYTES // (8 * n * n))), n, n))
@@ -101,7 +103,11 @@ def _span_trees(
     for k, (start, end) in enumerate(spans):
         rows = slice(start, end)
         sub = _adopt(TimeSeriesPanel, returns.assets, returns.timestamps[rows], returns.values[rows])
-        dist = to_distance(pearson_matrix(sub, min_overlap=min_overlap))
+        try:
+            dist = to_distance(pearson_matrix(sub, min_overlap=min_overlap))
+        except CorrTreeError as exc:
+            first, last = sub.timestamps[0], sub.timestamps[-1]
+            raise type(exc)(f"window {k} (timestamps {first} to {last}): {exc}") from exc
         filled = k % len(stack)
         stack[filled] = dist.d
         if filled == len(stack) - 1 or k == len(spans) - 1:

@@ -19,15 +19,10 @@ from .hierarchy import Dendrogram
 from .mst import SpanningTree
 
 
-# xml.sax.saxutils' rules, without the import: it pulls in urllib and email
-_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+# xml.sax.saxutils' attribute rules, without the import: it pulls in urllib and email
 _XML_ATTR = str.maketrans(
     {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"}
 )
-
-
-def _escape(text: str) -> str:
-    return text.translate(_XML_TEXT)
 
 
 def _quoteattr(text: str) -> str:
@@ -69,7 +64,7 @@ def export_graphml(tree: SpanningTree) -> str:
         lines.append(f"    <node id={quoted[label]}/>")
     for e in tree.edges:
         lines.append(f"    <edge source={quoted[e.a]} target={quoted[e.b]}>")
-        lines.append(f'      <data key="w">{_escape(repr(float(e.weight)))}</data>')
+        lines.append(f'      <data key="w">{float(e.weight)!r}</data>')
         lines.append("    </edge>")
     lines.append("  </graph>")
     lines.append("</graphml>")

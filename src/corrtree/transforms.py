@@ -1,13 +1,13 @@
 """Signal transforms feeding the correlation stage.
 
-Three signals are supported, each returning a panel of the input's
-assets: natural-log returns for price-like series, per-timestamp ranks
-for league-table data (1 = largest, ties get the mean rank), and the raw
-values untouched. No signal standardises a column: Pearson correlation
-already ignores each asset's shift and positive scale. ``rebase``
-re-expresses a panel of currency quotes in a different base currency;
-the tree built from such a panel depends on that choice of reference
-frame.
+Two signals are supported, each returning a panel of the input's
+assets: natural-log returns for price-like series, and per-timestamp
+ranks for league-table data (1 = largest, ties get the mean rank). Raw
+values need no transform: the panel itself is the signal. No signal
+standardises a column: Pearson correlation already ignores each asset's
+shift and positive scale. ``rebase`` re-expresses a panel of currency
+quotes in a different base currency; the tree built from such a panel
+depends on that choice of reference frame.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def log_returns(panel: TimeSeriesPanel) -> TimeSeriesPanel:
     if panel.n_obs < 2:
         raise SizeError("log returns need at least 2 observations")
     values = panel.values
-    bad = np.argwhere(~np.isnan(values) & (values <= 0.0))
+    bad = np.argwhere(values <= 0.0)  # NaN compares false, so a missing price passes
     if bad.size:
         t, i = bad[0]
         raise DomainError(
@@ -38,11 +38,6 @@ def log_returns(panel: TimeSeriesPanel) -> TimeSeriesPanel:
         )
     logs = np.log(values)
     return _adopt(TimeSeriesPanel, panel.assets, panel.timestamps[1:], logs[1:] - logs[:-1])
-
-
-def raw_signal(panel: TimeSeriesPanel) -> TimeSeriesPanel:
-    """The panel itself: its values are the signal (panels are immutable)."""
-    return panel
 
 
 def rank_signal(panel: TimeSeriesPanel) -> TimeSeriesPanel:
@@ -59,20 +54,15 @@ def rank_signal(panel: TimeSeriesPanel) -> TimeSeriesPanel:
             f"cannot rank timestamp {panel.timestamps[t]!r}: "
             f"missing value for asset {panel.assets[i]!r}"
         )
-    t, n = values.shape
-    order = np.argsort(-values, axis=1, kind="stable")
-    ordered = np.take_along_axis(values, order, axis=1)
-    # tie groups are runs of equal values in each sorted row; a group
-    # spanning sorted positions start..end-1 shares the mean rank
-    cols = np.arange(n)
-    opens = np.ones((t, n), dtype=bool)
-    opens[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    closes = np.ones((t, n), dtype=bool)
-    closes[:, :-1] = opens[:, 1:]
-    start = np.maximum.accumulate(np.where(opens, cols, 0), axis=1)
-    end = np.minimum.accumulate(np.where(closes, cols + 1, n)[:, ::-1], axis=1)[:, ::-1]
-    out = np.empty_like(values)
-    np.put_along_axis(out, order, (start + 1 + end) / 2.0, axis=1)
+    # a tie group on descending positions start..end-1 shares the mean rank (2*start + e + 1) / 2,
+    # e = end - start; ordinal ranks that list its members in column order and in reverse column
+    # order sum to that numerator. Ascending position p holds rank n - p.
+    ranks = np.arange(values.shape[1], 0.0, -1.0)
+    out, rev = np.empty_like(values), np.empty_like(values)
+    np.put_along_axis(out, np.argsort(values, axis=1, kind="stable"), ranks, axis=1)
+    np.put_along_axis(rev[:, ::-1], np.argsort(values[:, ::-1], axis=1, kind="stable"), ranks, axis=1)
+    out += rev
+    out /= 2.0
     return _adopt(TimeSeriesPanel, panel.assets, panel.timestamps, out)
 
 
@@ -98,7 +88,7 @@ def rebase(panel: TimeSeriesPanel, base: str, *, numeraire: str) -> TimeSeriesPa
         )
     b = panel.assets.index(base)
     base_col = panel.values[:, b]
-    bad = np.argwhere(np.isnan(base_col) | (base_col <= 0.0))
+    bad = np.argwhere(~(base_col > 0.0))  # NaN compares false, so it is caught too
     if bad.size:
         t = int(bad[0][0])
         raise DomainError(

@@ -51,6 +51,7 @@ from corrtree import (
     to_distance,
 )
 from corrtree.errors import (
+    CorrTreeError,
     DegenerateAssetError,
     DomainError,
     InsufficientDataError,
@@ -168,6 +169,15 @@ def prim_mst_compacted(dist: DistanceMatrix) -> SpanningTree:
     return SpanningTree(labels, tuple(edges))
 
 
+def span_distance(returns: TimeSeriesPanel, k: int, start: int, end: int, min_overlap: int) -> DistanceMatrix:
+    """The distance matrix of rows [start, end); an error names span ``k`` and its first and last timestamps."""
+    sub = TimeSeriesPanel(returns.assets, returns.timestamps[start:end], returns.values[start:end])
+    try:
+        return to_distance(pearson_matrix(sub, min_overlap=min_overlap))
+    except CorrTreeError as exc:
+        raise type(exc)(f"window {k} (timestamps {sub.timestamps[0]} to {sub.timestamps[-1]}): {exc}") from exc
+
+
 # Rolling windows before they were batched: one tree built per window.
 def rolling_trees_loop(
     returns: TimeSeriesPanel, width: int, step: int = 1, *, min_overlap: int = 3
@@ -186,11 +196,7 @@ def rolling_trees_loop(
     for k in range(count):
         start = k * step
         end = start + width
-        sub = TimeSeriesPanel(
-            returns.assets, returns.timestamps[start:end], returns.values[start:end]
-        )
-        corr = pearson_matrix(sub, min_overlap=min_overlap)
-        trees.append(prim_mst_compacted(to_distance(corr)))
+        trees.append(prim_mst_compacted(span_distance(returns, k, start, end, min_overlap)))
         spans.append((start, end))
     return TreeSequence(returns.assets, tuple(spans), tuple(trees))
 
@@ -206,10 +212,8 @@ def split_compare_pair(
         raise SizeError(
             f"split at {split_index} leaves a segment shorter than 3 of {n_obs} observations"
         )
-    head = TimeSeriesPanel(returns.assets, returns.timestamps[:split_index], returns.values[:split_index])
-    tail = TimeSeriesPanel(returns.assets, returns.timestamps[split_index:], returns.values[split_index:])
-    before = build_mst(to_distance(pearson_matrix(head, min_overlap=min_overlap)))
-    after = build_mst(to_distance(pearson_matrix(tail, min_overlap=min_overlap)))
+    before = build_mst(span_distance(returns, 0, 0, split_index, min_overlap))
+    after = build_mst(span_distance(returns, 1, split_index, n_obs, min_overlap))
     return before, after, edge_survival(before, after)
 
 

@@ -30,7 +30,6 @@ from corrtree import (
     matrix_csv,
     parse_group_spec,
     pearson_matrix,
-    raw_signal,
     rebase,
     to_distance,
 )
@@ -120,6 +119,13 @@ class TestSynthCommand:
         args[args.index("--loading") + 1] = "1.5"
         assert main(args) == 2
 
+    def test_missing_is_not_an_option(self, tmp_path, capsys):
+        """A generated panel has no missing cell, so a marker would never be written."""
+        path = tmp_path / "x.csv"
+        assert main([*synth_args(path), "--missing", "NA"]) == 1
+        assert "unrecognized arguments: --missing NA" in capsys.readouterr().err
+        assert not path.exists()
+
 
 class TestRunCommand:
     def test_all_artifacts_written(self, panel_path, tmp_path, capsys):
@@ -144,7 +150,7 @@ class TestRunCommand:
         out = tmp_path / "a"
         main(["run", str(panel_path), "--signal", "raw", "--outdir", str(out)])
         record = json.loads(capsys.readouterr().out)
-        counts = census(pearson_matrix(raw_signal(load_panel(panel_path))))
+        counts = census(pearson_matrix(load_panel(panel_path)))
         assert record == json.loads(counts.to_json())
 
     def test_dot_counts_for_thirty_assets(self, tmp_path):
@@ -230,7 +236,7 @@ class TestRunCommand:
         out = tmp_path / "arts"
         with redirect_stdout(io.StringIO()):
             assert main(["run", str(path), "--signal", "raw", "--formats", "csv", "--outdir", str(out)]) == 0
-        corr = pearson_matrix(raw_signal(load_panel(path)))
+        corr = pearson_matrix(load_panel(path))
         for name, expected in (("corr.csv", corr.rho), ("dist.csv", to_distance(corr).d)):
             back = load_panel(out / name)
             assert back.assets == names and back.timestamps == names
@@ -386,7 +392,7 @@ class TestMatrixCommands:
         out = tmp_path / "corr.csv"
         code = main(["corr", str(panel_path), "--signal", "raw", "--out", str(out)])
         assert code == 0
-        corr = pearson_matrix(raw_signal(load_panel(panel_path)))
+        corr = pearson_matrix(load_panel(panel_path))
         assert out.read_text() == matrix_csv(corr.assets, corr.rho)
 
     def test_dist_to_stdout(self, panel_path, capsys):
@@ -714,6 +720,20 @@ class TestBadInput:
         assert out.returncode == 2
         assert out.stderr == f"error: {panel}: {message}\n"
         assert not (tmp_path / "arts").exists()
+
+    @pytest.mark.parametrize("command", ["run", "dynamics"])
+    def test_window_error_names_its_window(self, tmp_path, capsys, command):
+        """Column A varies over the panel but is constant on window 2's rows 20-39."""
+        values = np.random.default_rng(8).standard_normal((60, 3))
+        values[20:40, 0] = 1.0
+        panel = write_panel(TimeSeriesPanel(("A", "B", "C"), tuple(range(60)), values), tmp_path / "p.csv")
+        out = tmp_path / "arts"
+        window = ["--signal", "raw", "--width", "20", "--step", "10", "--outdir", str(out)]
+        assert main([command, str(panel), *window]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: window 2 (timestamps 20 to 39): asset 'A' has zero variance\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         ("args", "message"),

@@ -26,7 +26,6 @@ from corrtree import (
     log_returns,
     pearson_matrix,
     rank_signal,
-    raw_signal,
     rebase,
     rolling_trees,
     single_linkage,
@@ -157,7 +156,7 @@ def test_merges_ignore_column_order():
         )
 
 
-@pytest.mark.parametrize("signal", [log_returns, raw_signal], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("signal", [log_returns, _SIGNALS["raw"]], ids=["log_returns", "raw_signal"])
 def test_missing_data_pipeline_ignores_column_order(signal):
     # Complete panels are not covered: their BLAS Gram may round a
     # permuted column's entries differently in the last bits.
@@ -265,11 +264,11 @@ def test_rank_signal_matches_row_loop():
         lambda shape: rng.choice([0.0, -0.0, 1.0, -1.0], shape),
         lambda shape: np.round(rng.standard_normal(shape), 1),
     )
-    for k in range(400):
-        shape = (int(rng.integers(1, 12)), int(rng.integers(2, 15)))
-        values = pools[k % len(pools)](shape)
+    cases = [pools[k % len(pools)]((int(rng.integers(1, 12)), int(rng.integers(2, 15)))) for k in range(400)]
+    cases.append(pools[-1]((50, 300)))  # one wide panel, many ties per row
+    for values in cases:
         panel = TimeSeriesPanel(
-            tuple(f"A{i}" for i in range(shape[1])), tuple(range(shape[0])), values
+            tuple(f"A{i}" for i in range(values.shape[1])), tuple(range(values.shape[0])), values
         )
         expected = np.array([mean_ranks_loop(row) for row in values])
         assert rank_signal(panel).values.tobytes() == expected.tobytes()
@@ -344,7 +343,7 @@ def test_rolling_error_in_middle_window_matches_loop(chunk, monkeypatch):
             build(r, 5, 5)
         outcomes.append((type(info.value), str(info.value)))
     assert outcomes[0] == outcomes[1]
-    assert "zero variance" in outcomes[0][1]
+    assert outcomes[0][1] == "window 2 (timestamps 10 to 14): asset 'S03' has zero variance"
 
 
 def test_rolling_nonfinite_distance_in_middle_window_matches_loop(monkeypatch):
@@ -371,7 +370,7 @@ def test_rolling_nonfinite_distance_in_middle_window_matches_loop(monkeypatch):
             build(r, 5, 5)
         outcomes.append((type(info.value), str(info.value)))
     assert outcomes[0] == outcomes[1]
-    assert outcomes[0][1] == "non-finite distance inf between 'S00' and 'S02'"
+    assert outcomes[0][1] == "window 2 (timestamps 10 to 14): non-finite distance inf between 'S00' and 'S02'"
 
 
 def split_panel(kind: str, n_obs: int) -> TimeSeriesPanel:
@@ -413,7 +412,9 @@ def test_split_error_in_both_segments_is_the_heads(chunk, monkeypatch):
         with pytest.raises(CorrTreeError) as info:
             build(returns(y), 10)
         outcomes.append((type(info.value), str(info.value)))
-    assert outcomes[0] == outcomes[1] == (DegenerateAssetError, "asset 'S03' has zero variance")
+    assert outcomes[0] == outcomes[1] == (
+        DegenerateAssetError, "window 0 (timestamps 0 to 9): asset 'S03' has zero variance"
+    )
 
 
 def stage_outputs(path, signal) -> list:

@@ -16,7 +16,6 @@ from corrtree import (
     UnknownAssetError,
     log_returns,
     rank_signal,
-    raw_signal,
     rebase,
 )
 from helpers import panel
@@ -92,12 +91,6 @@ class TestSignalPanels:
 
 
 class TestRawAndRank:
-    def test_raw_passthrough(self):
-        p = panel([[1.0, -2.0], [3.0, 4.0]])
-        r = raw_signal(p)
-        assert r is p  # panels are immutable, so the signal shares it
-        assert np.array_equal(r.values, p.values)
-
     def test_rank_descending_with_ties(self):
         # row [3, 1, 2] -> places [1, 3, 2]; ties share the mean place
         r = rank_signal(panel([[3.0, 1.0, 2.0], [5.0, 5.0, 1.0]]))
@@ -121,6 +114,20 @@ class TestRawAndRank:
         # power-of-two scaling is exact, so the order is untouched
         mapped = rank_signal(panel(values * 4.0)).values
         assert np.array_equal(direct, mapped)
+
+    @pytest.mark.parametrize("shape", [(2000, 30), (30, 2000)], ids=["T>>n", "n>>T"])
+    def test_rank_peak_memory(self, shape):
+        """Two rank arrays and one argsort's indices: about three panels at the peak."""
+        rng = np.random.default_rng(12)
+        p = TimeSeriesPanel(tuple(f"A{i}" for i in range(shape[1])), tuple(range(shape[0])),
+                            np.round(rng.standard_normal(shape), 1))
+        tracemalloc.start()
+        try:
+            rank_signal(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * p.values.nbytes
 
     def test_rank_rows_sum_to_constant(self):
         rng = np.random.default_rng(3)
