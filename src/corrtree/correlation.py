@@ -149,49 +149,46 @@ def _pairwise_complete(returns: TimeSeriesPanel, min_overlap: int) -> np.ndarray
     obs = returns.values
     n = returns.n_assets
     absent = np.isnan(obs)
-    present = ~absent
-    count = present.sum(axis=0)
-    x = np.where(present, _unit_scaled(obs), 0.0)
-    with np.errstate(all="ignore"):
-        for _ in range(2):
-            x -= x.sum(axis=0) / np.maximum(count, 1)
-            x[absent] = 0.0
-        sumsq = (x * x).sum(axis=0)
+    count = len(obs) - absent.sum(axis=0)
+    x = _unit_scaled(obs)  # a new array, so it is centred in place
+    x[absent] = 0.0
+    for _ in range(2):
+        x -= x.sum(axis=0) / np.maximum(count, 1)
+        x[absent] = 0.0
 
     # joint[i, j], s[i, j], q[i, j]: count, sum and sum of squares of x_i
     # over the rows where both i and j are present
+    q = np.repeat((x * x).sum(axis=0)[:, None], n, axis=1)
     joint = np.repeat(count[:, None], n, axis=1)
     s = np.repeat(x.sum(axis=0)[:, None], n, axis=1)
-    q = np.repeat(sumsq[:, None], n, axis=1)
     for j in np.flatnonzero(absent.any(axis=0)):
         gone = np.flatnonzero(absent[:, j])
         rows = x[gone]
-        joint[:, j] -= present[gone].sum(axis=0)
+        joint[:, j] -= len(gone) - absent[gone].sum(axis=0)
         s[:, j] -= rows.sum(axis=0)
         q[:, j] -= (rows * rows).sum(axis=0)
 
-    p = np.einsum("ti,tj->ij", x, x)  # x is C-ordered, as every panel's values are: row-by-row sums
-
+    rho = np.einsum("ti,tj->ij", x, x)  # x is C-ordered, as every panel's values are: row-by-row sums
     with np.errstate(all="ignore"):
-        mean = s / joint
-        var = q / joint - mean * mean
-        rho = p / joint - mean * mean.T
-        root = var * var.T
-        rho /= np.sqrt(root, out=root)
-        del root  # one n x n array fewer from here on
-        unclear = ~(var > 0.5 * q / joint)
+        s /= joint  # each moment is written over the sum it comes from: s is now the mean
+        q /= joint
+        rho /= joint
+        rho -= s * s.T
+        np.subtract(q, s * s, out=s)  # the variance
+        unclear = ~(s > 0.5 * q)
+        rho /= np.sqrt(np.multiply(s, s.T, out=q), out=q)
     exact = (joint < min_overlap) | unclear | unclear.T
     for i, j in zip(*np.nonzero(np.triu(exact, 1))):
-        rho[i, j] = rho[j, i] = _pair_rho(returns, present, i, j, min_overlap)
+        rho[i, j] = rho[j, i] = _pair_rho(returns, absent, i, j, min_overlap)
     return rho
 
 
 def _pair_rho(
-    returns: TimeSeriesPanel, present: np.ndarray, i: int, j: int, min_overlap: int
+    returns: TimeSeriesPanel, absent: np.ndarray, i: int, j: int, min_overlap: int
 ) -> float:
     """One pair's correlation from its joint rows, double-centred."""
     obs = returns.values
-    joint = present[:, i] & present[:, j]
+    joint = ~(absent[:, i] | absent[:, j])
     count = int(joint.sum())
     pair = f"({returns.assets[i]!r}, {returns.assets[j]!r})"
     if count < min_overlap:

@@ -17,7 +17,7 @@ from .distance import to_distance
 from .errors import ComparisonError, CorrTreeError, SchemaError, SizeError
 from .mst import SpanningTree, _prim_trees
 from .mst import build_mst  # noqa: F401  (benchmark/tracer.py hooks dynamics.build_mst)
-from .panel import TimeSeriesPanel, _adopt
+from .panel import TimeSeriesPanel, _adopt, _whole
 
 # Byte budget of the distance-matrix stack one batched tree run takes
 # (16 windows at n = 300); a larger stack saves little time and adds RSS.
@@ -61,14 +61,6 @@ class TreeSequence:
         for prev, curr in zip(self.trees, self.trees[1:]):
             out.append(edge_survival(prev, curr))
         return tuple(out)
-
-
-def _whole(name: str, value: float, least: float = -np.inf) -> int:
-    """``value`` as an ``int``; a ``SizeError`` names it unless it is a whole number >= ``least``."""
-    if not (least <= value and abs(value) < np.inf and int(value) == value):  # NaN fails every bound
-        bound = f" >= {least}" if least > -np.inf else ""
-        raise SizeError(f"{name} must be an integer{bound}, got {value!r}")
-    return int(value)
 
 
 def rolling_trees(

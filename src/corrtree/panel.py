@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import DomainError, PanelParseError, SchemaError, UnknownAssetError
+from .errors import DomainError, PanelParseError, SchemaError, SizeError, UnknownAssetError
 
 Timestamp = int | str
 _T = TypeVar("_T")
@@ -140,6 +140,14 @@ def _check_unique(assets: Sequence[str], prefix: str = "") -> None:
     if len(set(assets)) != len(assets):
         dup = sorted({a for a in assets if assets.count(a) > 1})
         raise SchemaError(f"{prefix}duplicate asset label(s): {dup}")
+
+
+def _whole(name: str, value: float, least: float = -np.inf, error: type[Exception] = SizeError) -> int:
+    """``value`` as an ``int``; an ``error`` names it unless it is a whole number >= ``least``."""
+    if not (least <= value and abs(value) < np.inf and int(value) == value):  # NaN fails every bound
+        bound = f" >= {least}" if least > -np.inf else ""
+        raise error(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
 
 
 def _validate_keys(timestamps: Sequence[Timestamp]) -> None:

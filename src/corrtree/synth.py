@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeneratorSpecError
-from .panel import TimeSeriesPanel, _adopt
+from .panel import TimeSeriesPanel, _adopt, _whole
 
 _STREAM_FACTOR = 0
 _STREAM_NOISE = 1
@@ -43,7 +43,10 @@ class FactorModelSpec:
 
     def __post_init__(self) -> None:
         try:
-            groups = tuple((str(label), int(count)) for label, count in self.groups)
+            groups = tuple(
+                (str(label), _whole(f"size of group {label!r}", count, 1, GeneratorSpecError))
+                for label, count in self.groups
+            )
         except (TypeError, ValueError) as exc:
             raise GeneratorSpecError(f"malformed group list: {exc}") from None
         object.__setattr__(self, "groups", groups)
@@ -52,8 +55,6 @@ class FactorModelSpec:
         labels = [label for label, _ in groups]
         if len(set(labels)) != len(labels) or any(not label for label in labels):
             raise GeneratorSpecError("group labels must be unique and non-empty")
-        if any(count < 1 for _, count in groups):
-            raise GeneratorSpecError("every group needs at least one member")
         if sum(count for _, count in groups) < 2:
             raise GeneratorSpecError("need at least 2 assets in total")
         if not (0.0 < self.factor_loading < 1.0):
@@ -68,14 +69,8 @@ class FactorModelSpec:
             raise GeneratorSpecError(
                 f"global_loading must be a finite real >= 0, got {self.global_loading!r}"
             )
-        if not (2 <= self.length < np.inf and int(self.length) == self.length):
-            raise GeneratorSpecError(
-                f"length must be an integer >= 2, got {self.length!r}"
-            )
-        if not (0 <= self.seed < np.inf and int(self.seed) == self.seed):
-            raise GeneratorSpecError(f"seed must be an integer >= 0, got {self.seed!r}")
-        object.__setattr__(self, "length", int(self.length))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "length", _whole("length", self.length, 2, GeneratorSpecError))
+        object.__setattr__(self, "seed", _whole("seed", self.seed, 0, GeneratorSpecError))
 
     @property
     def n_assets(self) -> int:
@@ -136,14 +131,16 @@ def parse_group_spec(text: str) -> tuple[tuple[str, int], ...]:
     """
     text = text.strip()
     m = _GROUPS_COMPACT.match(text)
-    if m:
-        n_groups, count = int(m.group(1)), int(m.group(2))
-        if n_groups < 1 or count < 1:
-            raise GeneratorSpecError(f"group spec {text!r} has a zero dimension")
-        return tuple((f"G{g + 1}", count) for g in range(n_groups))
     parts = [p.strip() for p in text.split(",")]
-    if all(p.isdigit() for p in parts) and parts:
-        return tuple((f"G{g + 1}", int(p)) for g, p in enumerate(parts))
-    raise GeneratorSpecError(
-        f"cannot parse group spec {text!r}; expected 'KxM' or comma-separated counts"
-    )
+    if m:
+        dims = [int(m.group(1)), int(m.group(2))]
+    elif all(p.isdecimal() for p in parts):  # isdigit would take '²', which int() refuses
+        dims = [int(p) for p in parts]
+    else:
+        raise GeneratorSpecError(
+            f"cannot parse group spec {text!r}; expected 'KxM' or comma-separated counts"
+        )
+    if 0 in dims:
+        raise GeneratorSpecError(f"group spec {text!r} has a zero dimension")
+    counts = [dims[1]] * dims[0] if m else dims
+    return tuple((f"G{g + 1}", count) for g, count in enumerate(counts))

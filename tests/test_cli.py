@@ -103,9 +103,10 @@ class TestSynthCommand:
         assert (tmp_path / "-").read_text() == text
 
     def test_bad_group_spec_is_usage_error(self, tmp_path, capsys):
-        code = main(synth_args(tmp_path / "x.csv", groups="banana"))
-        assert code == 1
-        assert "error" in capsys.readouterr().err
+        for groups in ("banana", "3,0"):
+            code = main(synth_args(tmp_path / "x.csv", groups=groups))
+            assert code == 1
+            assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("delimiter", [";;", ""])
     def test_bad_delimiter_is_usage_error(self, tmp_path, capsys, delimiter):

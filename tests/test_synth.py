@@ -53,6 +53,8 @@ class TestSpecValidation:
             {"global_loading": -0.5},
             {"length": 1},
             {"seed": -4},
+            {"groups": (("A", 2.5), ("B", 2))},
+            {"groups": (("A", "3"), ("B", 2))},
         ],
     )
     def test_rejects_bad_fields(self, overrides):
@@ -180,11 +182,12 @@ class TestParseGroupSpec:
     def test_whitespace_tolerated(self):
         assert parse_group_spec(" 2 x 3 ") == (("G1", 3), ("G2", 3))
 
-    @pytest.mark.parametrize("text", ["", "3x", "x10", "a,b", "3x10x2", "-1x5"])
+    @pytest.mark.parametrize("text", ["", "3x", "x10", "a,b", "3x10x2", "-1x5", "3,²"])
     def test_rejects_garbage(self, text):
         with pytest.raises(GeneratorSpecError):
             parse_group_spec(text)
 
     def test_zero_dimension_rejected(self):
-        with pytest.raises(GeneratorSpecError):
-            parse_group_spec("0x5")
+        for text in ("0x5", "3,0"):
+            with pytest.raises(GeneratorSpecError, match="zero dimension"):
+                parse_group_spec(text)
