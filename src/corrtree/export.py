@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import TreeSequence
+from .errors import SchemaError
 from .hierarchy import Dendrogram
 from .mst import SpanningTree
 
@@ -114,9 +115,12 @@ class _RowText:
 
 def matrix_csv(labels: Sequence[str], values: np.ndarray) -> str:
     """Square matrix as CSV with a label header row and column."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(labels), len(labels)):
+        raise SchemaError(f"matrix shape {values.shape} does not match {len(labels)} labels")
     row_text = csv.writer(_RowText(), lineterminator="\n").writerow
     lines = [row_text(["", *labels])]
-    for label, row in zip(labels, np.asarray(values, dtype=float)):
+    for label, row in zip(labels, values):
         # the label cell with csv's quoting and its comma; repr texts need no quoting
         lines.append(row_text([label, ""])[:-1] + ",".join(map(repr, row.tolist())) + "\n")
     return "".join(lines)

@@ -70,8 +70,8 @@ class SpanningTree:
         return frozenset((e.a, e.b) for e in self.edges)
 
     def total_weight(self) -> float:
-        # fsum over sorted weights: exact and independent of edge order
-        return math.fsum(sorted(e.weight for e in self.edges))
+        # fsum is exact, so the sum does not depend on edge order
+        return math.fsum(e.weight for e in self.edges)
 
 
 class _UnionFind:
@@ -124,35 +124,29 @@ def _prim_trees(labels: tuple[str, ...], stack: np.ndarray) -> list[SpanningTree
     heads, tails = _prim(stack, lexrank)
     # Index order first: a DistanceMatrix may hold -0.0 and +0.0 across the
     # diagonal, and the weight bytes must not depend on which end joined first.
-    i, j = np.minimum(heads, tails), np.maximum(heads, tails)
-    weights = stack[np.arange(len(stack))[:, None], i, j]
-    order = np.lexsort((_pair_key(lexrank, i, j), weights), axis=-1)
-    i, j, weights = (np.take_along_axis(a, order, axis=-1) for a in (i, j, weights))
-    first = np.where(lexrank[i] < lexrank[j], i, j)  # the endpoint whose label sorts first
+    weights = stack[np.arange(len(stack))[:, None], np.minimum(heads, tails), np.maximum(heads, tails)]
+    a = np.where(lexrank[heads] < lexrank[tails], heads, tails)  # the end whose label sorts first
+    b = heads + tails - a
+    order = np.lexsort((lexrank[a] * n + lexrank[b], weights), axis=-1)
+    a, b, weights = (np.take_along_axis(x, order, axis=-1) for x in (a, b, weights))
     name = labels.__getitem__
     return [
-        _adopt(SpanningTree, labels, tuple(map(TreeEdge, map(name, a), map(name, b), w)))
-        for a, b, w in zip(first.tolist(), (i + j - first).tolist(), weights.tolist())
+        _adopt(SpanningTree, labels, tuple(map(TreeEdge, map(name, ea), map(name, eb), w)))
+        for ea, eb, w in zip(a.tolist(), b.tolist(), weights.tolist())
     ]
-
-
-def _pair_key(lexrank: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # (smaller lex-rank, larger lex-rank) folded into one integer
-    ru, rv = lexrank[u], lexrank[v]
-    return np.minimum(ru, rv) * len(lexrank) + np.maximum(ru, rv)
 
 
 def _prim(stack: np.ndarray, lexrank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Prim's algorithm on every matrix of a (W, n, n) stack in lockstep.
 
-    Each step picks, in every window, the outside vertex with the least
-    (weight, pair key) edge into the tree, then lowers the best edges of
-    the remaining outside vertices under the same key. Returns the
-    (tree endpoint, new vertex) index pairs, each of shape (W, n - 1).
+    Each step picks, in every window, the outside vertex whose best edge
+    into the tree is least under the key, then lowers the best edges of
+    the remaining outside vertices. Equal-weight edges (p, v) and (f, v)
+    compare as the label ranks of p and f, whichever side of v's rank
+    they fall on. Returns the (tree end, new vertex) pairs, each (W, n - 1).
     """
     n_win, n = stack.shape[:2]
     win = np.arange(n_win)
-    vertices = np.arange(n)
     # Per window: which vertices are outside the tree, and the weight and
     # tree endpoint of each outside vertex's best edge (inf once inside).
     outside = np.ones((n_win, n), dtype=bool)
@@ -167,7 +161,8 @@ def _prim(stack: np.ndarray, lexrank: np.ndarray) -> tuple[np.ndarray, np.ndarra
         ties = best_w == best_w[win, pick][:, None]
         if np.count_nonzero(ties) > n_win:
             tied = np.flatnonzero(np.count_nonzero(ties, axis=1) > 1)
-            keys = np.where(ties[tied], _pair_key(lexrank, best_from[tied], vertices), n * n)
+            rf = lexrank[best_from[tied]]  # (smaller rank, larger rank) folded into one integer
+            keys = np.where(ties[tied], np.minimum(rf, lexrank) * n + np.maximum(rf, lexrank), n * n)
             pick[tied] = keys.argmin(axis=1)
         heads[:, step], tails[:, step] = best_from[win, pick], pick
         outside[win, pick] = False
@@ -177,9 +172,7 @@ def _prim(stack: np.ndarray, lexrank: np.ndarray) -> tuple[np.ndarray, np.ndarra
         better &= outside
         equal = row == best_w  # never true inside the tree: rows are finite
         if equal.any():
-            w, v = np.nonzero(equal)
-            won = _pair_key(lexrank, pick[w], v) < _pair_key(lexrank, best_from[w, v], v)
-            better[w[won], v[won]] = True
+            better |= equal & (lexrank[pick][:, None] < lexrank[best_from])
         np.copyto(best_w, row, where=better)
         np.copyto(best_from, pick[:, None], where=better)
     return heads, tails

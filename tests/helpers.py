@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,17 @@ def child_env(threads: int | None = None) -> dict[str, str]:
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = str(threads)
     return env
+
+
+def peak_bytes(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), peak)``: the peak is the most memory ``tracemalloc`` saw during the call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def labels(n: int, prefix: str = "S") -> tuple[str, ...]:

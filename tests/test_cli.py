@@ -6,7 +6,6 @@ import os
 import stat
 import subprocess
 import sys
-import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -34,7 +33,7 @@ from corrtree import (
     to_distance,
 )
 from corrtree.cli import _SIGNALS, main
-from helpers import child_env, write_panel
+from helpers import child_env, peak_bytes, write_panel
 from test_panel import fuzz_text
 
 
@@ -356,12 +355,8 @@ class TestOneWriter:
         panel = tmp_path / "panel.csv"
         assert main(synth_args(panel, groups="6x50", length="200")) == 0
         out = tmp_path / "out"
-        tracemalloc.start()
-        try:
-            assert main(["run", str(panel), "--signal", "raw", "--outdir", str(out)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = peak_bytes(main, ["run", str(panel), "--signal", "raw", "--outdir", str(out)])
+        assert code == 0
         largest = max(path.stat().st_size for path in out.iterdir())
         assert peak <= 4 * largest, (peak, largest)
 
@@ -778,6 +773,11 @@ class TestUsage:
 
     def test_min_overlap_too_small(self, panel_path):
         assert main(["census", str(panel_path), "--min-overlap", "1"]) == 1
+
+    def test_width_not_an_integer(self, panel_path, tmp_path, capsys):
+        assert main(["run", str(panel_path), "--width", "abc", "--outdir", str(tmp_path / "out")]) == 1
+        assert "argument --width: expected an integer, got 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("delimiter", [";;", ""])
     def test_bad_delimiter(self, panel_path, capsys, delimiter):

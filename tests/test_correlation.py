@@ -1,7 +1,6 @@
 """Pearson correlation estimation and the correlation census."""
 
 import hashlib
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +20,7 @@ from corrtree import (
     pearson_matrix,
     to_distance,
 )
-from helpers import corr_from_pairs, labels, returns
+from helpers import corr_from_pairs, labels, peak_bytes, returns
 from oracles import census_triu, pairwise_complete_loop
 
 # frozen: corr([1,2,3],[1,2,4]) = sqrt(27/28), same under population or
@@ -114,13 +113,8 @@ class TestPearson:
         """The Gram is centred, scaled and symmetrised in place: about 2.35 results at the peak."""
         rng = np.random.default_rng(8)
         r = returns(rng.standard_normal((100, 400)) + rng.standard_normal((100, 1)))
-        tracemalloc.start()
-        try:
-            rho = pearson_matrix(r).rho
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.4 * rho.nbytes
+        corr, peak = peak_bytes(pearson_matrix, r)
+        assert peak <= 2.4 * corr.rho.nbytes
 
     def test_missing_data_peak_memory(self):
         """One mask, and each moment written over its sum: about 5.4 results at the peak.
@@ -131,14 +125,8 @@ class TestPearson:
             rng = np.random.default_rng(8)
             y = rng.standard_normal((t, n)) + rng.standard_normal((t, 1))
             y[rng.random(y.shape) < 0.01] = np.nan
-            r = returns(y)
-            tracemalloc.start()
-            try:
-                rho = pearson_matrix(r).rho
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= bound * rho.nbytes, (t, n)
+            corr, peak = peak_bytes(pearson_matrix, returns(y))
+            assert peak <= bound * corr.rho.nbytes, (t, n)
 
 
 class TestPairwiseComplete:
@@ -383,6 +371,19 @@ class TestMatrixValidation:
     def test_rejects_duplicate_labels(self):
         with pytest.raises(SchemaError, match=r"^duplicate asset label\(s\): \['A'\]$"):
             CorrelationMatrix(("A", "B", "A"), np.eye(3))
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (np.eye(3), r"^matrix shape \(3, 3\) does not match 2 assets$"),
+            ([[1.0, np.nan], [np.nan, 1.0]], r"^correlation entries must be finite$"),
+            ([[1.0, np.inf], [np.inf, 1.0]], r"^correlation entries must be finite$"),
+        ],
+        ids=["shape", "nan", "inf"],
+    )
+    def test_rejects_wrong_shape_and_non_finite_entries(self, rho, message):
+        with pytest.raises(SchemaError, match=message):
+            CorrelationMatrix(("A", "B"), rho)
 
 
 class TestCensus:

@@ -79,6 +79,19 @@ class TestDistanceMatrixValidation:
         with pytest.raises(SchemaError, match=r"^duplicate asset label\(s\): \['A'\]$"):
             DistanceMatrix(("A", "B", "A"), 1.0 - np.eye(3))
 
+    @pytest.mark.parametrize(
+        "assets, d, message",
+        [
+            ((), np.zeros((0, 0)), r"^distance matrix needs at least 1 asset$"),
+            (("A", "B"), np.zeros((3, 3)), r"^matrix shape \(3, 3\) does not match 2 assets$"),
+            (("A", "B"), np.zeros(2), r"^matrix shape \(2,\) does not match 2 assets$"),
+        ],
+        ids=["no-assets", "shape", "one-dimensional"],
+    )
+    def test_rejects_no_assets_and_wrong_shape(self, assets, d, message):
+        with pytest.raises(SchemaError, match=message):
+            DistanceMatrix(assets, d)
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_rejects_non_finite_entries(self, bad):
         d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, bad], [2.0, bad, 0.0]])

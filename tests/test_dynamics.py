@@ -7,10 +7,12 @@ from corrtree import (
     ComparisonError,
     FactorModelSpec,
     InsufficientDataError,
+    SchemaError,
     SizeError,
     SpanningTree,
     TimeSeriesPanel,
     TreeEdge,
+    TreeSequence,
     build_mst,
     edge_survival,
     generate,
@@ -170,6 +172,23 @@ class TestRollingTrees:
                 s for s in sparse.survival_vs_previous() if s is not None
             )
         assert np.mean(overlap_means) > np.mean(disjoint_means)
+
+
+class TestTreeSequence:
+    @pytest.mark.parametrize(
+        "windows, trees, message",
+        [
+            (((0, 5), (5, 10)), (path_tree("ABC"),), r"^2 windows but 1 trees$"),
+            ((), (), r"^a tree sequence needs at least one window$"),
+            (((0, 5),), (path_tree("ABD"),), r"^tree 0 does not cover the shared asset set$"),
+            (((0, 5), (5, 5)), (path_tree("ABC"),) * 2, r"^window 1 has invalid span \(5, 5\)$"),
+            (((-1, 5),), (path_tree("ABC"),), r"^window 0 has invalid span \(-1, 5\)$"),
+        ],
+        ids=["count-mismatch", "no-windows", "other-assets", "empty-span", "negative-start"],
+    )
+    def test_rejects_inconsistent_sequences(self, windows, trees, message):
+        with pytest.raises(SchemaError, match=message):
+            TreeSequence(("A", "B", "C"), windows, trees)
 
 
 class TestEdgeSurvival:

@@ -5,10 +5,12 @@ import io
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
 from corrtree import (
     Dendrogram,
     Merge,
+    SchemaError,
     SpanningTree,
     TreeEdge,
     build_mst,
@@ -262,6 +264,20 @@ class TestMatrixCsv:
             for label, row in zip(labels, values):
                 writer.writerow([label, *(repr(float(v)) for v in row)])
             assert matrix_csv(labels, values) == buffer.getvalue()
+
+    @pytest.mark.parametrize(
+        "labels, values, message",
+        [
+            (("a",), np.eye(2), r"^matrix shape \(2, 2\) does not match 1 labels$"),
+            (("a", "b", "c"), np.eye(2), r"^matrix shape \(2, 2\) does not match 3 labels$"),
+            (("a", "b"), np.ones((2, 3)), r"^matrix shape \(2, 3\) does not match 2 labels$"),
+            (("a", "b"), np.ones(2), r"^matrix shape \(2,\) does not match 2 labels$"),
+        ],
+        ids=["too-few-labels", "too-many-labels", "non-square", "one-dimensional"],
+    )
+    def test_shape_must_match_labels(self, labels, values, message):
+        with pytest.raises(SchemaError, match=message):
+            matrix_csv(labels, values)
 
 
 class TestSurvivalCsv:

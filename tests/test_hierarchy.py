@@ -145,6 +145,19 @@ class TestDendrogram:
         with pytest.raises(SchemaError):
             Dendrogram(("A", "B", "C"), (Merge(0, 3, 0.5), Merge(1, 2, 0.6)))
 
+    @pytest.mark.parametrize(
+        "leaves, merges, message",
+        [
+            (("A",), (), r"^a dendrogram needs at least 2 uniquely labelled leaves$"),
+            (("A", "A"), (Merge(0, 1, 0.5),), r"^a dendrogram needs at least 2 uniquely labelled leaves$"),
+            (("A", "B"), (Merge(1, 0, 0.5),), r"^merge 0: child ids must satisfy left < right$"),
+        ],
+        ids=["one-leaf", "duplicate-leaves", "left-after-right"],
+    )
+    def test_leaves_and_child_order(self, leaves, merges, message):
+        with pytest.raises(SchemaError, match=message):
+            Dendrogram(leaves, merges)
+
 
 @settings(max_examples=40)
 @given(st.integers(0, 2**31 - 1))

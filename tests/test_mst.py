@@ -17,7 +17,7 @@ from corrtree import (
     spans_connected_subtree,
     to_distance,
 )
-from helpers import corr_from_pairs, random_data_distance
+from helpers import corr_from_pairs, peak_bytes, random_data_distance
 from oracles import mst_oracle
 
 
@@ -83,11 +83,30 @@ class TestBuildMst:
         dist = random_data_distance(rng, 10)
         assert build_mst(dist).edges == build_mst(dist).edges
 
+    def test_peak_memory(self):
+        """Prim keeps O(n) scratch and reads the matrix in place: a copy would cost 1.0."""
+        dist = random_data_distance(np.random.default_rng(14), 1200, 250)
+        tree, peak = peak_bytes(build_mst, dist)
+        assert tree.n_assets == 1200
+        assert peak <= 0.1 * dist.d.nbytes
+
 
 class TestSpanningTreeValidation:
     def test_edge_count_enforced(self):
         with pytest.raises(SchemaError):
             SpanningTree(("A", "B", "C"), (TreeEdge("A", "B", 1.0),))
+
+    @pytest.mark.parametrize(
+        "assets, edges",
+        [
+            (("A",), ()),
+            (("A", "A", "B"), (TreeEdge("A", "B", 1.0), TreeEdge("A", "B", 1.0))),
+        ],
+        ids=["one-asset", "duplicate-assets"],
+    )
+    def test_needs_two_distinct_assets(self, assets, edges):
+        with pytest.raises(SchemaError, match=r"^a spanning tree needs at least 2 uniquely labelled assets$"):
+            SpanningTree(assets, edges)
 
     def test_cycle_rejected(self):
         edges = (TreeEdge("A", "B", 1.0), TreeEdge("A", "B", 2.0))
@@ -204,3 +223,8 @@ class TestTreeUtilities:
         dist = distance_from("AB", {("A", "B"): 1.0})
         with pytest.raises(UnknownAssetError):
             spans_connected_subtree(build_mst(dist), ["A", "Z"])
+
+    def test_subtree_needs_a_label(self):
+        dist = distance_from("AB", {("A", "B"): 1.0})
+        with pytest.raises(SizeError, match=r"^need at least one label$"):
+            spans_connected_subtree(build_mst(dist), [])

@@ -67,6 +67,24 @@ class TestConstruction:
         with pytest.raises(SchemaError):
             TimeSeriesPanel(("A", "B"), (0, 1), [[1.0, 2.0]])
 
+    @pytest.mark.parametrize(
+        "assets, timestamps, values, message",
+        [
+            (("A", ""), (0,), [[1.0, 2.0]], r"^asset labels must be non-empty strings$"),
+            (("A", 1), (0,), [[1.0, 2.0]], r"^asset labels must be non-empty strings$"),
+            (("A", "B"), (), np.empty((0, 2)), r"^a panel needs at least one observation row$"),
+        ],
+        ids=["empty-label", "non-string-label", "no-rows"],
+    )
+    def test_rejects_bad_labels_and_no_rows(self, assets, timestamps, values, message):
+        with pytest.raises(SchemaError, match=message):
+            TimeSeriesPanel(assets, timestamps, values)
+
+    def test_not_equal_to_other_types(self):
+        p = TimeSeriesPanel(("A", "B"), (0,), [[1.0, 2.0]])
+        assert p.__eq__(p.values) is NotImplemented
+        assert p != "A"
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["inf", "minus-inf"])
     def test_infinite_cell_names_asset_and_timestamp(self, value):
         # the first infinite cell in row order is named; NaN cells are missing, not faults

@@ -1,7 +1,6 @@
 """Factor-model panel generator: determinism and implied correlations."""
 
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from corrtree import (
     spans_connected_subtree,
     to_distance,
 )
+from helpers import peak_bytes
 from oracles import revalidate
 
 
@@ -156,13 +156,8 @@ class TestGenerate:
     def test_peak_memory(self):
         """The columns fill one preallocated array: about one result at the peak."""
         s = spec(groups=tuple((f"G{g}", 50) for g in range(24)), length=250)
-        tracemalloc.start()
-        try:
-            values = generate(s).values
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.75 * values.nbytes
+        panel, peak = peak_bytes(generate, s)
+        assert peak <= 1.75 * panel.values.nbytes
 
     def test_wide_group_padding(self):
         s = spec(groups=(("G", 120),), length=5)

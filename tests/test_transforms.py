@@ -1,7 +1,5 @@
 """Signal transforms: log returns, ranks, re-basing."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,7 +16,7 @@ from corrtree import (
     rank_signal,
     rebase,
 )
-from helpers import panel
+from helpers import panel, peak_bytes
 from oracles import revalidate
 
 # frozen: ln(1.1) to 17 significant digits
@@ -121,12 +119,7 @@ class TestRawAndRank:
         rng = np.random.default_rng(12)
         p = TimeSeriesPanel(tuple(f"A{i}" for i in range(shape[1])), tuple(range(shape[0])),
                             np.round(rng.standard_normal(shape), 1))
-        tracemalloc.start()
-        try:
-            rank_signal(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(rank_signal, p)
         assert peak <= 3.5 * p.values.nbytes
 
     def test_rank_rows_sum_to_constant(self):
@@ -222,13 +215,8 @@ class TestRebase:
         rng = np.random.default_rng(6)
         labels = tuple(f"C{k:04d}" for k in range(1200))
         p = TimeSeriesPanel(labels, tuple(range(250)), np.exp(0.1 * rng.standard_normal((250, 1200))))
-        tracemalloc.start()
-        try:
-            values = rebase(p, "C0000", numeraire="USD").values
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * values.nbytes
+        q, peak = peak_bytes(rebase, p, "C0000", numeraire="USD")
+        assert peak <= 2.5 * q.values.nbytes
 
     @given(st.integers(0, 2**31 - 1))
     def test_round_trip_property(self, seed):
