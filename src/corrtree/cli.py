@@ -37,15 +37,15 @@ _SIGNALS: dict[str, Callable[[TimeSeriesPanel], TimeSeriesPanel]] = {
     "rank": rank_signal,
 }
 
-_STAGES = ("returns", "corr", "dist", "tree", "dendrogram")
+_STAGES = ("returns", "corr", "census", "dist", "tree", "dendrogram")
 
 
 def _distance_csv(dist: DistanceMatrix) -> str:
     return matrix_csv(dist.assets, dist.d)
 
 
-# artifact file name -> (its ``run --formats`` entry, the last stage its text reads, its text);
-# each text looks its functions up as module globals when called; the census text is kept for ``run``'s stdout
+# artifact file name -> (its ``run --formats`` entry, the stage its text reads, its text);
+# each text looks its functions up as module globals when called
 _ARTIFACTS: dict[str, tuple[str, str, Callable[[dict[str, Any]], str]]] = {
     "mst.dot": ("dot", "tree", lambda s: export_dot(s["tree"])),
     "mst.graphml": ("graphml", "tree", lambda s: export_graphml(s["tree"])),
@@ -53,34 +53,44 @@ _ARTIFACTS: dict[str, tuple[str, str, Callable[[dict[str, Any]], str]]] = {
     "corr.csv": ("csv", "corr", lambda s: matrix_csv(s["corr"].assets, s["corr"].rho)),
     "dist.csv": ("csv", "dist", lambda s: _distance_csv(s["dist"])),
     "ultrametric.csv": ("csv", "dendrogram", lambda s: _distance_csv(subdominant_ultrametric(s["dendrogram"]))),
-    "census.json": ("json", "corr", lambda s: s.get("census") or s.setdefault("census", census(s["corr"]).to_json() + "\n")),
+    "census.json": ("json", "census", lambda s: s["census"]),
 }
 
 EXPORT_FORMATS = tuple(dict.fromkeys(fmt for fmt, _, _ in _ARTIFACTS.values()))
 _TREE_FORMATS = tuple(fmt for fmt, stage, _ in _ARTIFACTS.values() if stage == "tree")  # also the file suffix
 
 
-def _run_stages(args: argparse.Namespace, last: str) -> dict[str, Any]:
-    """Run load -> rebase -> signal -> correlation -> distance -> tree -> dendrogram.
+def _run_stages(args: argparse.Namespace, read: Collection[str]) -> dict[str, Any]:
+    """Run load -> rebase -> signal -> correlation -> census -> distance -> tree -> dendrogram.
 
-    Stops after the stage named ``last`` (one of :data:`_STAGES`) and
-    returns every stage's result by name. Each stage function is looked
-    up as a module global when it is called.
+    Stops after the latest of the stages named in ``read`` (some of :data:`_STAGES`) and returns
+    their results by name. Each stage is made from the result before it, which is then dropped
+    unless it is read; the census record is made only if read, from the correlation, and unless the
+    correlation is read the distance is written over its buffer. Each stage function is looked up
+    as a module global when it is called.
     """
-    stop = _STAGES.index(last)
+    stop = max(map(_STAGES.index, read))
     panel = load_panel(args.input, delimiter=args.delimiter, missing_markers=("", args.missing))
     if args.rebase is not None:
         panel = rebase(panel, args.rebase, numeraire=args.numeraire)
-    stages: dict[str, Any] = {"returns": _SIGNALS[args.signal](panel)}
+    value = _SIGNALS[args.signal](panel)  # the chain's latest result
     del panel  # unless the signal is the panel itself, free the raw values before the n x n stages
-    if stop >= 1:
-        stages["corr"] = pearson_matrix(stages["returns"], min_overlap=args.min_overlap)
-    if stop >= 2:
-        stages["dist"] = to_distance(stages["corr"])
-    if stop >= 3:
-        stages["tree"] = build_mst(stages["dist"])
-    if stop >= 4:
-        stages["dendrogram"] = single_linkage(stages["tree"])
+    stages: dict[str, Any] = {}
+    for name in _STAGES[: stop + 1]:
+        if name == "corr":
+            value = pearson_matrix(value, min_overlap=args.min_overlap)
+        elif name == "census":  # a record of the correlation, which the distance is made from
+            if name in read:
+                stages[name] = census(value).to_json() + "\n"
+            continue
+        elif name == "dist":
+            value = to_distance(value, _overwrite="corr" not in read)  # the run owns the correlation
+        elif name == "tree":
+            value = build_mst(value)
+        elif name == "dendrogram":
+            value = single_linkage(value)
+        if name in read:
+            stages[name] = value
     return stages
 
 
@@ -147,13 +157,13 @@ def _cmd_view(args: argparse.Namespace) -> int:
         if "-" not in paths.values() and os.path.realpath(args.ultrametric) == same:
             print(f"error: --out and --ultrametric both name {same}", file=sys.stderr)
             return 1
-    stages = _run_stages(args, max((_ARTIFACTS[n][1] for n in paths), key=_STAGES.index))
+    stages = _run_stages(args, {_ARTIFACTS[n][1] for n in paths})
     _write_artifacts((path, _ARTIFACTS[n][2](stages)) for n, path in paths.items())
     return 0
 
 
 def _cmd_dynamics(args: argparse.Namespace) -> int:
-    returns = _run_stages(args, "returns")["returns"]
+    returns = _run_stages(args, {"returns"})["returns"]
     sequence = rolling_trees(returns, args.width, args.step, min_overlap=args.min_overlap)
     _write_artifacts(_window_artifacts(Path(args.outdir), sequence, (args.format,)))
     return 0
@@ -165,13 +175,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     Every stage runs before the first text is made; a failing stage, text or write leaves no output.
     """
     # the whole chain runs for every --formats, so its errors do not depend on them
-    stages = _run_stages(args, _STAGES[-1])
+    read = {stage for fmt, stage, _ in _ARTIFACTS.values() if fmt in args.formats} | {"census", _STAGES[-1]}
+    if args.width is not None:
+        read.add("returns")
+    stages = _run_stages(args, read)
     out = Path(args.outdir)
     outputs = ((out / name, text(stages)) for name, (fmt, _, text) in _ARTIFACTS.items() if fmt in args.formats)
     if args.width is not None:
-        sequence = rolling_trees(stages["returns"], args.width, args.step, min_overlap=args.min_overlap)
+        sequence = rolling_trees(stages.pop("returns"), args.width, args.step, min_overlap=args.min_overlap)
         outputs = itertools.chain(outputs, _window_artifacts(out / "windows", sequence, args.formats))
-    _write_artifacts(itertools.chain(outputs, [("-", _ARTIFACTS["census.json"][2](stages))]))
+    _write_artifacts(itertools.chain(outputs, [("-", stages["census"])]))
     return 0
 
 

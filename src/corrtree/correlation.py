@@ -26,6 +26,7 @@ from .errors import DegenerateAssetError, InsufficientDataError, SchemaError
 from .panel import TimeSeriesPanel, _adopt, _check_unique
 
 STRONG_THRESHOLD = 0.5
+_BLOCK = 64  # rows per block of the n x n finish: no whole-matrix temporary
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,8 +91,7 @@ def pearson_matrix(returns: TimeSeriesPanel, min_overlap: int = 3) -> Correlatio
                 f"{obs.shape[0]} observations < min_overlap {min_overlap}"
             )
         rho = _full_sample(returns)
-    rho += rho.T
-    rho /= 2.0
+    _symmetrise(rho)
     np.clip(rho, -1.0, 1.0, out=rho)
     np.fill_diagonal(rho, 1.0)
     return _adopt(CorrelationMatrix, returns.assets, rho)
@@ -117,13 +117,28 @@ def _full_sample(returns: TimeSeriesPanel) -> np.ndarray:
     centered -= centered.mean(axis=0)
     gram = centered.T @ centered
     gram /= centered.shape[0]
+    del centered
     var = np.diag(gram).copy()
     for i, v in enumerate(var):
         if v == 0.0:
             raise DegenerateAssetError(f"asset {returns.assets[i]!r} has zero variance")
-    root = var[:, None] * var
-    gram /= np.sqrt(root, out=root)
+    for s in range(0, len(var), _BLOCK):
+        b = slice(s, s + _BLOCK)
+        gram[b] /= np.sqrt(var[b, None] * var)
     return gram
+
+
+def _symmetrise(rho: np.ndarray) -> None:
+    """Write ``(rho + rho.T) / 2`` over ``rho`` in row blocks, each block's sums formed before it is written.
+
+    ``rho += rho.T`` would make numpy copy the overlapping operand, one more n x n array.
+    """
+    for s in range(0, len(rho), _BLOCK):
+        b = slice(s, s + _BLOCK)
+        up = rho[b, s:] + rho[s:, b].T
+        up /= 2.0
+        rho[b, s:] = up
+        rho[s:, b] = up.T
 
 
 def _pairwise_complete(returns: TimeSeriesPanel, min_overlap: int) -> np.ndarray:

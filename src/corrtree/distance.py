@@ -2,9 +2,13 @@
 
 ``d = sqrt(2 (1 - rho))`` sends perfect correlation to 0, independence
 to sqrt(2) and perfect anticorrelation to 2, and decreases monotonically
-in rho. For matrices that came from actual data panels the result
-satisfies the three metric axioms (the tests check them with a full
-triangle scan).
+in rho. On a complete panel d is the Euclidean distance between the
+columns centred and scaled to unit length, so it satisfies the three
+metric axioms (the tests check them with a full triangle scan; two equal
+columns are at distance 0). On a panel with missing cells each pair is
+correlated over its own rows, and the triangle inequality can fail; the
+spanning tree and the subdominant ultrametric are defined for any
+dissimilarity.
 """
 
 from __future__ import annotations
@@ -54,9 +58,18 @@ class DistanceMatrix:
         return len(self.assets)
 
 
-def to_distance(corr: CorrelationMatrix) -> DistanceMatrix:
-    """Map a correlation matrix elementwise through ``sqrt(2 (1 - rho))``."""
-    d = 1.0 - corr.rho
+def to_distance(corr: CorrelationMatrix, *, _overwrite: bool = False) -> DistanceMatrix:
+    """Map a correlation matrix elementwise through ``sqrt(2 (1 - rho))``.
+
+    ``_overwrite`` writes the distance over ``corr.rho``'s buffer, which leaves ``corr`` invalid:
+    it is for a caller that owns ``corr`` and drops it.
+    """
+    if _overwrite:
+        d = corr.rho
+        d.setflags(write=True)
+        np.subtract(1.0, d, out=d)  # not ``d -= 1; d *= -2``, which writes -0.0 where rho = 1
+    else:
+        d = 1.0 - corr.rho
     d *= 2.0
     np.sqrt(d, out=d)  # the unit diagonal maps to +0.0
     return _adopt(DistanceMatrix, corr.assets, d)

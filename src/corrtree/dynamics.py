@@ -34,9 +34,11 @@ class TreeSequence:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "assets", tuple(self.assets))
-        object.__setattr__(
-            self, "windows", tuple((int(s), int(e)) for s, e in self.windows)
+        windows = tuple(
+            (_whole(f"window {k} start", s, error=SchemaError), _whole(f"window {k} end", e, error=SchemaError))
+            for k, (s, e) in enumerate(self.windows)
         )
+        object.__setattr__(self, "windows", windows)
         object.__setattr__(self, "trees", tuple(self.trees))
         if len(self.windows) != len(self.trees):
             raise SchemaError(

@@ -19,7 +19,7 @@ import numpy as np
 from .distance import DistanceMatrix
 from .errors import DomainError, SchemaError
 from .mst import SpanningTree, _UnionFind
-from .panel import _adopt
+from .panel import _adopt, _whole
 
 
 class Merge(NamedTuple):
@@ -43,7 +43,14 @@ class Dendrogram:
 
     def __post_init__(self) -> None:
         leaves = tuple(self.leaves)
-        merges = tuple(Merge(int(m[0]), int(m[1]), float(m[2])) for m in self.merges)
+        merges = tuple(
+            Merge(
+                _whole(f"merge {k} left", m[0], error=SchemaError),
+                _whole(f"merge {k} right", m[1], error=SchemaError),
+                float(m[2]),
+            )
+            for k, m in enumerate(self.merges)
+        )
         object.__setattr__(self, "leaves", leaves)
         object.__setattr__(self, "merges", merges)
         n = len(leaves)

@@ -113,8 +113,10 @@ def test_benchmark_hooks_resolve():
 def test_cli_calls_the_hooked_names(tmp_path, monkeypatch):
     """A windowed all-format ``run`` calls every ``corrtree.cli`` name the tracer wraps.
 
-    The wrappers replace the module attributes, as the tracer does, so a
-    caller holding a function object taken at import time bypasses them.
+    A run without ``csv`` (the distance written over the correlation) still
+    calls ``to_distance`` and ``census`` once each. The wrappers replace the
+    module attributes, as the tracer does, so a caller holding a function
+    object taken at import time bypasses them.
     """
     tracer = _tracer()
     calls = {}
@@ -143,3 +145,7 @@ def test_cli_calls_the_hooked_names(tmp_path, monkeypatch):
     with redirect_stdout(io.StringIO()):
         assert corrtree.cli.main([*args, "--outdir", str(tmp_path / "out")]) == 0
     assert calls and all(calls.values()), calls
+    calls.update(dict.fromkeys(calls, 0))
+    with redirect_stdout(io.StringIO()):
+        assert corrtree.cli.main([*args, "--formats", "dot,newick,json", "--outdir", str(tmp_path / "trees")]) == 0
+    assert calls["to_distance"] == calls["census"] == 1, calls

@@ -315,14 +315,32 @@ class TestRunCommand:
             assert len(list((out / "windows").glob("tree_*.dot"))) == windows
 
     def test_census_made_once_per_run(self, panel_path, tmp_path, monkeypatch, capsys):
-        """``census.json`` and the stdout record share one census."""
+        """``census.json`` and the stdout record share one census, made before the distance."""
         calls = []
-        made = corrtree.cli.census
-        monkeypatch.setattr(corrtree.cli, "census", lambda corr: calls.append(corr) or made(corr))
-        out = tmp_path / "out"
-        assert main(["run", str(panel_path), "--signal", "raw", "--outdir", str(out)]) == 0
-        assert len(calls) == 1
-        assert capsys.readouterr().out == (out / "census.json").read_text()
+        made, distance = corrtree.cli.census, corrtree.cli.to_distance
+        monkeypatch.setattr(corrtree.cli, "census", lambda corr: calls.append("census") or made(corr))
+        monkeypatch.setattr(corrtree.cli, "to_distance", lambda *a, **k: calls.append("dist") or distance(*a, **k))
+        for formats in ("dot,graphml,newick,csv,json", "dot,newick,json"):  # rho kept, and rho overwritten
+            calls.clear()
+            out = tmp_path / formats
+            assert main(["run", str(panel_path), "--signal", "raw", "--formats", formats, "--outdir", str(out)]) == 0
+            assert calls == ["census", "dist"], formats
+            assert capsys.readouterr().out == (out / "census.json").read_text()
+
+    def test_tree_run_holds_one_matrix(self, tmp_path, capsys):
+        """Without ``csv`` the distance is written over the correlation and the returns are dropped.
+
+        About 1.9 n x n arrays at n = 400, T = 100, and 1.43 at n = 1200, T = 250 (2.83 and 2.44 when
+        the run kept the returns, the correlation and the distance to its end).
+        """
+        rng = np.random.default_rng(5)
+        steps = 0.01 * (rng.standard_normal((101, 400)) + rng.standard_normal((101, 1)))
+        prices = TimeSeriesPanel(tuple(f"S{i:03d}" for i in range(400)), tuple(range(101)), np.exp(steps.cumsum(axis=0)))
+        write_panel(prices, tmp_path / "p.csv")
+        args = ["run", str(tmp_path / "p.csv"), "--outdir", str(tmp_path / "out"), "--formats", "dot,newick,json"]
+        code, peak = peak_bytes(main, args)
+        assert code == 0
+        assert peak <= 2.2 * 8 * 400**2
 
 
 class TestOneWriter:
@@ -493,22 +511,39 @@ class TestViewsEqualRun:
         (["census"], "census.json"),
     ]
 
-    def test_views_equal_run_artifacts(self, na_panel_path, tmp_path, capsys):
-        arts = tmp_path / "arts"
-        assert main(["run", str(na_panel_path), "--signal", "raw", "--outdir", str(arts)]) == 0
-        run_stdout = capsys.readouterr().out
-        assert run_stdout == (arts / "census.json").read_text()
-        for k, (command, artifact) in enumerate(self.VIEWS):
-            out = tmp_path / f"view_{k}"
-            args = [command[0], str(na_panel_path), "--signal", "raw", "--out", str(out)]
-            assert main(args + command[1:]) == 0
-            assert out.read_bytes() == (arts / artifact).read_bytes(), artifact
-        assert capsys.readouterr().out == ""
-        ultra = tmp_path / "u.csv"
-        args = ["dendro", str(na_panel_path), "--signal", "raw", "--ultrametric", str(ultra)]
-        assert main(args) == 0
-        assert capsys.readouterr().out == (arts / "dendrogram.nwk").read_text()
-        assert ultra.read_bytes() == (arts / "ultrametric.csv").read_bytes()
+    def test_views_equal_run_artifacts(self, panel_path, na_panel_path, tmp_path, capsys):
+        """On both correlation paths: ``run`` keeps rho for ``corr.csv``, the ``dist``, ``mst`` and
+        ``dendro`` views write the distance over it."""
+        for path in (panel_path, na_panel_path):
+            arts = tmp_path / f"arts_{path.stem}"
+            assert main(["run", str(path), "--signal", "raw", "--outdir", str(arts)]) == 0
+            run_stdout = capsys.readouterr().out
+            assert run_stdout == (arts / "census.json").read_text()
+            for k, (command, artifact) in enumerate(self.VIEWS):
+                out = tmp_path / f"view_{path.stem}_{k}"
+                args = [command[0], str(path), "--signal", "raw", "--out", str(out)]
+                assert main(args + command[1:]) == 0
+                assert out.read_bytes() == (arts / artifact).read_bytes(), (path.stem, artifact)
+            assert capsys.readouterr().out == ""
+            ultra = tmp_path / f"u_{path.stem}.csv"
+            args = ["dendro", str(path), "--signal", "raw", "--ultrametric", str(ultra)]
+            assert main(args) == 0
+            assert capsys.readouterr().out == (arts / "dendrogram.nwk").read_text()
+            assert ultra.read_bytes() == (arts / "ultrametric.csv").read_bytes()
+
+    def test_dist_view_of_a_duplicated_column_writes_no_negative_zero(self, panel_path, tmp_path, capsys):
+        """rho = 1 off the diagonal maps to +0.0 in place as in the library's ``to_distance``."""
+        p = load_panel(panel_path)
+        twin = write_panel(
+            TimeSeriesPanel((*p.assets, "TWIN"), p.timestamps, np.column_stack([p.values, p.values[:, 0]])),
+            tmp_path / "twin.csv",
+        )
+        assert main(["dist", str(twin), "--signal", "raw"]) == 0
+        text = capsys.readouterr().out
+        assert "-0.0" not in text
+        expected = to_distance(pearson_matrix(load_panel(twin)))
+        assert expected.d[0, -1] == 0.0
+        assert text == matrix_csv(expected.assets, expected.d)
 
     @pytest.mark.parametrize("fmt", ["dot", "graphml"])
     def test_dynamics_equals_run_windows(self, na_panel_path, tmp_path, fmt):

@@ -9,11 +9,14 @@ from corrtree import (
     DistanceMatrix,
     DomainError,
     SchemaError,
+    build_mst,
     pearson_matrix,
+    single_linkage,
+    subdominant_ultrametric,
     to_distance,
 )
 from helpers import corr_from_pairs, random_data_distance, returns
-from oracles import metric_axioms_unchunked
+from oracles import metric_axioms_unchunked, revalidate
 
 # frozen anchors for d = sqrt(2 (1 - rho))
 ANCHORS = [
@@ -46,6 +49,23 @@ class TestToDistance:
         dist = random_data_distance(rng, 8)
         assert np.all(np.diag(dist.d) == 0.0)
         assert np.array_equal(dist.d, dist.d.T)
+
+    def test_leaves_the_correlation_as_it_was(self):
+        """Only a caller that owns and drops the correlation may have the distance written over it."""
+        y = np.random.default_rng(4).standard_normal((40, 6))
+        y[:, 5] = y[:, 0]  # rho = 1 off the diagonal
+        corr = pearson_matrix(returns(y))
+        before = corr.rho.tobytes()
+        dist = to_distance(corr)
+        assert corr.rho.tobytes() == before and not corr.rho.flags.writeable
+        assert not np.shares_memory(dist.d, corr.rho)
+        revalidate(corr)
+        revalidate(dist)
+        owned = pearson_matrix(returns(y))
+        overwritten = to_distance(owned, _overwrite=True)
+        assert overwritten.d is owned.rho
+        assert overwritten.d.tobytes() == dist.d.tobytes()  # +0.0 where rho = 1, the diagonal included
+        revalidate(overwritten)
 
     def test_range(self):
         corr = corr_from_pairs(("A", "B", "C"), {("A", "B"): -1.0, ("A", "C"): 1.0})
@@ -155,6 +175,25 @@ class TestAxiomChecks:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             metric_axioms_unchunked(np.zeros((2, 3)))
+
+    def test_pairwise_complete_correlations_need_not_be_metric(self):
+        """Each pair correlated over its own rows: A = B, B = C and C = -A, each on five rows.
+
+        rho_AB = rho_BC = 1 and rho_AC = -1 (eigenvalues -1, 2, 2), so d_AC = 2 > d_AB + d_BC = 0,
+        and the tree and the subdominant ultrametric are still built.
+        """
+        x = np.array([1.0, 3.0, 2.0, 5.0, 4.0])
+        y = np.full((15, 3), np.nan)
+        y[0:5, 0] = y[0:5, 1] = x
+        y[5:10, 1] = y[5:10, 2] = 2.0 * x[::-1]
+        y[10:15, 0], y[10:15, 2] = x, -x
+        dist = to_distance(pearson_matrix(returns(y)))
+        assert dist.d[0, 2] == 2.0 and dist.d[0, 1] == dist.d[1, 2] == 0.0
+        triangles = [v.indices for v in metric_axioms_unchunked(dist) if v.axiom == "triangle"]
+        assert triangles == [(0, 2, 1)]
+        tree = build_mst(dist)
+        assert sorted(e.weight for e in tree.edges) == [0.0, 0.0]
+        assert not subdominant_ultrametric(single_linkage(tree)).d.any()
 
     def test_collinear_boundary_is_not_a_violation(self):
         # perfectly flat triangle: d(i,k) exactly equals d(i,j) + d(j,k)

@@ -183,12 +183,20 @@ class TestTreeSequence:
             (((0, 5),), (path_tree("ABD"),), r"^tree 0 does not cover the shared asset set$"),
             (((0, 5), (5, 5)), (path_tree("ABC"),) * 2, r"^window 1 has invalid span \(5, 5\)$"),
             (((-1, 5),), (path_tree("ABC"),), r"^window 0 has invalid span \(-1, 5\)$"),
+            (((0.7, 5.9),), (path_tree("ABC"),), r"^window 0 start must be an integer, got 0\.7$"),
+            (((0, 5), (5, 9.5)), (path_tree("ABC"),) * 2, r"^window 1 end must be an integer, got 9\.5$"),
         ],
-        ids=["count-mismatch", "no-windows", "other-assets", "empty-span", "negative-start"],
+        ids=["count-mismatch", "no-windows", "other-assets", "empty-span", "negative-start",
+             "fractional-start", "fractional-end"],
     )
     def test_rejects_inconsistent_sequences(self, windows, trees, message):
         with pytest.raises(SchemaError, match=message):
             TreeSequence(("A", "B", "C"), windows, trees)
+
+    def test_whole_number_indices_become_ints(self):
+        windows = TreeSequence(("A", "B", "C"), ((5.0, np.int64(9)),), (path_tree("ABC"),)).windows
+        assert windows == ((5, 9),)
+        assert all(type(i) is int for i in windows[0])
 
 
 class TestEdgeSurvival:

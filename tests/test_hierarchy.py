@@ -151,12 +151,19 @@ class TestDendrogram:
             (("A",), (), r"^a dendrogram needs at least 2 uniquely labelled leaves$"),
             (("A", "A"), (Merge(0, 1, 0.5),), r"^a dendrogram needs at least 2 uniquely labelled leaves$"),
             (("A", "B"), (Merge(1, 0, 0.5),), r"^merge 0: child ids must satisfy left < right$"),
+            (("A", "B"), (Merge(0.9, 1.2, 0.5),), r"^merge 0 left must be an integer, got 0\.9$"),
+            (("A", "B", "C"), (Merge(0, 1, 0.5), Merge(2, 3.5, 0.6)), r"^merge 1 right must be an integer, got 3\.5$"),
         ],
-        ids=["one-leaf", "duplicate-leaves", "left-after-right"],
+        ids=["one-leaf", "duplicate-leaves", "left-after-right", "fractional-left", "fractional-right"],
     )
     def test_leaves_and_child_order(self, leaves, merges, message):
         with pytest.raises(SchemaError, match=message):
             Dendrogram(leaves, merges)
+
+    def test_whole_number_child_ids_become_ints(self):
+        (merge,) = Dendrogram(("A", "B"), (Merge(np.int32(0), 1.0, 0.5),)).merges
+        assert merge == (0, 1, 0.5)
+        assert type(merge.left) is int and type(merge.right) is int
 
 
 @settings(max_examples=40)
