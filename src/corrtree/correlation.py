@@ -91,7 +91,6 @@ def pearson_matrix(returns: TimeSeriesPanel, min_overlap: int = 3) -> Correlatio
                 f"{obs.shape[0]} observations < min_overlap {min_overlap}"
             )
         rho = _full_sample(returns)
-    _symmetrise(rho)
     np.clip(rho, -1.0, 1.0, out=rho)
     np.fill_diagonal(rho, 1.0)
     return _adopt(CorrelationMatrix, returns.assets, rho)
@@ -115,7 +114,7 @@ def _full_sample(returns: TimeSeriesPanel) -> np.ndarray:
     centered = _unit_scaled(returns.values)  # a new array, so it is centred in place
     centered -= centered.mean(axis=0)
     centered -= centered.mean(axis=0)
-    gram = centered.T @ centered
+    gram = centered.T @ centered  # BLAS syrk: one triangle, mirrored, so bit-symmetric
     gram /= centered.shape[0]
     del centered
     var = np.diag(gram).copy()
@@ -126,19 +125,6 @@ def _full_sample(returns: TimeSeriesPanel) -> np.ndarray:
         b = slice(s, s + _BLOCK)
         gram[b] /= np.sqrt(var[b, None] * var)
     return gram
-
-
-def _symmetrise(rho: np.ndarray) -> None:
-    """Write ``(rho + rho.T) / 2`` over ``rho`` in row blocks, each block's sums formed before it is written.
-
-    ``rho += rho.T`` would make numpy copy the overlapping operand, one more n x n array.
-    """
-    for s in range(0, len(rho), _BLOCK):
-        b = slice(s, s + _BLOCK)
-        up = rho[b, s:] + rho[s:, b].T
-        up /= 2.0
-        rho[b, s:] = up
-        rho[s:, b] = up.T
 
 
 def _pairwise_complete(returns: TimeSeriesPanel, min_overlap: int) -> np.ndarray:
@@ -152,7 +138,8 @@ def _pairwise_complete(returns: TimeSeriesPanel, min_overlap: int) -> np.ndarray
     column totals less the rows where j is missing, so their cost follows
     the missing cells. The cross products are one ``einsum``, run on one
     thread without BLAS: on C-ordered input it sums them row by row in
-    time order, so the bytes do not depend on the BLAS thread count.
+    time order, so the bytes do not depend on the BLAS thread count and
+    (i, j) and (j, i) get the same sum, bit for bit.
 
     Pairs short of ``min_overlap``, and pairs whose Gram variance is not
     clearly positive (an overlap mean about one overlap-sigma or more from

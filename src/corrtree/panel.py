@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import re
 from array import array
 from dataclasses import dataclass
@@ -144,7 +145,8 @@ def _check_unique(assets: Sequence[str], prefix: str = "") -> None:
 
 def _whole(name: str, value: float, least: float = -np.inf, error: type[Exception] = SizeError) -> int:
     """``value`` as an ``int``; an ``error`` names it unless it is a whole number >= ``least``."""
-    if not (least <= value and abs(value) < np.inf and int(value) == value):  # NaN fails every bound
+    real = isinstance(value, numbers.Real)  # a str or None would raise a bare TypeError below
+    if not (real and least <= value and abs(value) < np.inf and int(value) == value):  # NaN fails every bound
         bound = f" >= {least}" if least > -np.inf else ""
         raise error(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)

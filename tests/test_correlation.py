@@ -1,6 +1,8 @@
 """Pearson correlation estimation and the correlation census."""
 
 import hashlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -20,12 +22,35 @@ from corrtree import (
     pearson_matrix,
     to_distance,
 )
-from helpers import corr_from_pairs, labels, peak_bytes, returns
+from helpers import child_env, corr_from_pairs, labels, peak_bytes, returns
 from oracles import census_triu, pairwise_complete_loop
 
 # frozen: corr([1,2,3],[1,2,4]) = sqrt(27/28), same under population or
 # sample divisors
 RHO_123_124 = 0.9819805060619657
+
+# prints, per saved panel, whether its rho is bit-symmetric
+_SYMMETRY_CHILD = """
+import sys
+import numpy as np
+from corrtree import TimeSeriesPanel, pearson_matrix
+for path in sys.argv[1:]:
+    y = np.load(path)
+    rho = pearson_matrix(TimeSeriesPanel(tuple(map(str, range(y.shape[1]))), tuple(range(len(y))), y)).rho
+    print(rho.tobytes() == rho.T.tobytes())
+"""
+
+
+def _symmetry_panels() -> list[np.ndarray]:
+    """Complete and 1 %-missing twins, small and large enough for BLAS to split the Gram across threads."""
+    rng = np.random.default_rng(8)
+    panels = []
+    for y in (rng.standard_normal((25, 9)), rng.standard_normal((300, 250)) + rng.standard_normal((300, 1))):
+        holed = y.copy()
+        holed[rng.random(y.shape) < 0.01] = np.nan
+        assert np.isnan(holed).any()
+        panels += [y, holed]
+    return panels
 
 
 class TestPearson:
@@ -48,12 +73,29 @@ class TestPearson:
         theirs = np.corrcoef(y, rowvar=False)
         assert np.max(np.abs(ours - theirs)) <= 1e-12
 
-    def test_diagonal_and_symmetry_exact(self):
-        rng = np.random.default_rng(8)
-        rho = pearson_matrix(returns(rng.standard_normal((25, 9)))).rho
-        assert np.array_equal(rho, rho.T)
-        assert np.all(np.diag(rho) == 1.0)
-        assert np.max(np.abs(rho)) <= 1.0
+    def test_diagonal_and_symmetry_exact(self, tmp_path):
+        """rho is bit-symmetric as both paths make it, at one BLAS thread and at four.
+
+        The complete path's Gram is BLAS syrk, which mirrors one triangle;
+        the masked path's einsum sums (i, j) and (j, i) in one order.
+        """
+        paths = []
+        for k, y in enumerate(_symmetry_panels()):
+            rho = pearson_matrix(returns(y)).rho
+            assert rho.tobytes() == rho.T.tobytes(), y.shape
+            assert np.all(np.diag(rho) == 1.0)
+            assert np.max(np.abs(rho)) <= 1.0
+            paths.append(tmp_path / f"y{k}.npy")
+            np.save(paths[-1], y)
+        child = subprocess.run(
+            [sys.executable, "-c", _SYMMETRY_CHILD, *map(str, paths)],
+            env=child_env(4),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == ["True"] * len(paths)
 
     def test_constant_asset_rejected(self):
         y = np.column_stack([np.arange(5.0), np.full(5, 2.0)])
@@ -110,11 +152,11 @@ class TestPearson:
         assert f_order.tobytes() == c_order.tobytes()
 
     def test_complete_data_peak_memory(self):
-        """The centred panel is dropped before the Gram is scaled and symmetrised in row blocks: about 1.4 results."""
+        """The centred panel is dropped before the Gram is scaled in row blocks: about 1.32 results."""
         rng = np.random.default_rng(8)
         r = returns(rng.standard_normal((100, 400)) + rng.standard_normal((100, 1)))
         corr, peak = peak_bytes(pearson_matrix, r)
-        assert peak <= 1.5 * corr.rho.nbytes
+        assert peak <= 1.35 * corr.rho.nbytes
 
     def test_missing_data_peak_memory(self):
         """One mask, and each moment written over its sum: about 5.4 results at the peak.

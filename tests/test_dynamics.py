@@ -59,9 +59,10 @@ class TestWindowArguments:
             (5, float("-inf"), "step must be an integer >= 1, got -inf"),
             (np.float64("nan"), 1, f"width must be an integer >= 3, got {np.float64('nan')!r}"),
             (2, 0, "width must be an integer >= 3, got 2"),
+            ("5", 1, "width must be an integer >= 3, got '5'"),
         ],
         ids=["fraction", "fractional-step", "nan", "inf", "nan-step", "minus-inf-step",
-             "numpy-nan", "width-first"],
+             "numpy-nan", "width-first", "string"],
     )
     def test_bad_width_or_step_is_a_size_error(self, width, step, shown):
         with pytest.raises(SizeError) as info:
@@ -185,9 +186,10 @@ class TestTreeSequence:
             (((-1, 5),), (path_tree("ABC"),), r"^window 0 has invalid span \(-1, 5\)$"),
             (((0.7, 5.9),), (path_tree("ABC"),), r"^window 0 start must be an integer, got 0\.7$"),
             (((0, 5), (5, 9.5)), (path_tree("ABC"),) * 2, r"^window 1 end must be an integer, got 9\.5$"),
+            ((("0", 5),), (path_tree("ABC"),), r"^window 0 start must be an integer, got '0'$"),
         ],
         ids=["count-mismatch", "no-windows", "other-assets", "empty-span", "negative-start",
-             "fractional-start", "fractional-end"],
+             "fractional-start", "fractional-end", "string-start"],
     )
     def test_rejects_inconsistent_sequences(self, windows, trees, message):
         with pytest.raises(SchemaError, match=message):
@@ -271,8 +273,8 @@ class TestSplitCompare:
 
     @pytest.mark.parametrize(
         "split",
-        [float("nan"), 5.5, float("inf"), float("-inf"), np.float64("nan"), np.float64(6.5)],
-        ids=["nan", "fraction", "inf", "minus-inf", "numpy-nan", "numpy-fraction"],
+        [float("nan"), 5.5, float("inf"), float("-inf"), np.float64("nan"), np.float64(6.5), "6"],
+        ids=["nan", "fraction", "inf", "minus-inf", "numpy-nan", "numpy-fraction", "string"],
     )
     def test_split_that_is_not_a_whole_number_is_a_size_error(self, split):
         r = returns(np.random.default_rng(13).standard_normal((12, 4)))

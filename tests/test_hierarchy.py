@@ -153,8 +153,10 @@ class TestDendrogram:
             (("A", "B"), (Merge(1, 0, 0.5),), r"^merge 0: child ids must satisfy left < right$"),
             (("A", "B"), (Merge(0.9, 1.2, 0.5),), r"^merge 0 left must be an integer, got 0\.9$"),
             (("A", "B", "C"), (Merge(0, 1, 0.5), Merge(2, 3.5, 0.6)), r"^merge 1 right must be an integer, got 3\.5$"),
+            (("A", "B"), (Merge("0", 1, 0.5),), r"^merge 0 left must be an integer, got '0'$"),
         ],
-        ids=["one-leaf", "duplicate-leaves", "left-after-right", "fractional-left", "fractional-right"],
+        ids=["one-leaf", "duplicate-leaves", "left-after-right", "fractional-left", "fractional-right",
+             "string-left"],
     )
     def test_leaves_and_child_order(self, leaves, merges, message):
         with pytest.raises(SchemaError, match=message):

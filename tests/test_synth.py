@@ -61,7 +61,7 @@ class TestSpecValidation:
         with pytest.raises(GeneratorSpecError):
             spec(**overrides)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float64("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float64("-inf"), "20"])
     @pytest.mark.parametrize(("field", "least"), [("length", 2), ("seed", 0)])
     def test_nonfinite_counts_are_spec_errors(self, field, least, value):
         with pytest.raises(GeneratorSpecError) as info:
